@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands:
-  zeros          polynomial zeros via the electrostatic fixed point
+  zeros          Hermite/Laguerre zeros from their Jacobi matrices
   frozen         integrate the frozen ODE of type a or b
   simulate       Monte Carlo paths for the stochastic systems
   limit-moments  limiting moment recurrences
@@ -29,11 +29,11 @@ def _cmd_zeros(args):
     from .zeros import hermite_zeros, laguerre_zeros
 
     if args.family == "hermite":
-        prof = hermite_zeros(args.n, tol=args.tol)
+        prof = hermite_zeros(args.n)
     else:
         if args.nu is None:
             raise SystemExit("laguerre zeros need --nu")
-        prof = laguerre_zeros(args.n, args.nu, tol=args.tol)
+        prof = laguerre_zeros(args.n, args.nu)
     lines = ["zero"] + [f"{z:.17g}" for z in prof.zeros]
     _write_lines(args.out, lines)
     print(f"{prof.family} n={prof.n} residual={prof.residual:.3e} -> {args.out}")
@@ -76,6 +76,15 @@ def _cmd_simulate(args):
         simulate_dunkl_b,
     )
 
+    needed = {
+        "bessel-a": ("k",),
+        "bessel-ou": ("k",),
+        "bessel-b": ("nu", "beta"),
+        "dunkl-b": ("nu", "beta"),
+    }
+    missing = [f"--{name}" for name in needed[args.system] if getattr(args, name) is None]
+    if missing:
+        raise SystemExit(f"{args.system} needs {' and '.join(missing)}")
     if args.start is not None:
         x0 = np.loadtxt(args.start, ndmin=1)
     else:
@@ -215,8 +224,6 @@ def _cmd_validate(args):
     config = json.loads(Path(args.config).read_text())
     if args.replicas is not None:
         config["replicas"] = args.replicas
-    if args.threads is not None:
-        config["threads"] = args.threads
     report = run_experiment(config, out_dir=args.out)
     n_hard = sum(1 for r in report.rows if r["hard"])
     n_fail = sum(1 for r in report.rows if r["hard"] and not r["passed"])
@@ -239,11 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="besselsim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    z = sub.add_parser("zeros", help="polynomial zeros via the electrostatic fixed point")
+    z = sub.add_parser("zeros", help="Hermite/Laguerre zeros from their Jacobi matrices")
     z.add_argument("--family", choices=["hermite", "laguerre"], required=True)
     z.add_argument("--n", type=int, required=True)
     z.add_argument("--nu", type=float, default=None)
-    z.add_argument("--tol", type=float, default=1e-12)
     z.add_argument("--out", required=True)
     z.set_defaults(func=_cmd_zeros)
 
@@ -295,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate", help="run an experiment config")
     v.add_argument("--config", required=True)
-    v.add_argument("--threads", type=int, default=None)
     v.add_argument("--replicas", type=int, default=None)
     v.add_argument("--out", default=None)
     v.set_defaults(func=_cmd_validate)

@@ -4,8 +4,8 @@ An experiment takes a config (preset name plus overrides), runs the
 deterministic or Monte Carlo dynamics over the requested N and t values,
 measures Kolmogorov-Smirnov and momentwise distances to the predicted
 limit, and emits a machine-readable report.  Identical configs (same
-seed) produce byte-identical outputs; replicas are reduced in index
-order regardless of the thread count.
+seed) produce byte-identical outputs; replicas run and are reduced in
+index order.
 
 Thresholds for the stochastic presets are engineering calibrations
 stored with the preset defaults (the limit theorems are asymptotic and
@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -168,14 +167,6 @@ def starting_profile(preset, n: int, scaling: str = SCALE_SQRT_N, chamber: str =
     return project_to_chamber(scale * raw, chamber)
 
 
-def _replica_map(fn, replicas: int, threads: int = 1) -> list:
-    """Run fn(replica_index) for each replica; deterministic index order."""
-    if threads <= 1:
-        return [fn(r) for r in range(replicas)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(replicas)))
-
-
 # ---------------------------------------------------------------------------
 # experiment presets
 # ---------------------------------------------------------------------------
@@ -261,7 +252,7 @@ def _run_frozen_a_limit(cfg):
 
 def _sde_moment_rows(name, cfg, run_replica, ref_moments, L, n, t):
     reps = cfg["replicas"]
-    samples = np.array(_replica_map(run_replica, reps, cfg.get("threads", 1)))
+    samples = np.array([run_replica(r) for r in range(reps)])
     rows = []
     means = samples.mean(axis=0)
     stderrs = samples.std(axis=0, ddof=1) / math.sqrt(reps)
@@ -352,7 +343,7 @@ def _run_dunkl_quartercircle(cfg):
         p = simulate_dunkl_b(x0, nu, np.inf, t, cfg["dt"], RngStream(cfg["seed"], r))
         return EmpiricalMeasure.from_point(p.states[-1]).moments(2 * L)
 
-    samples = np.array(_replica_map(one, cfg["replicas"], cfg.get("threads", 1)))
+    samples = np.array([one(r) for r in range(cfg["replicas"])])
     means = samples.mean(axis=0)
     stderrs = samples.std(axis=0, ddof=1) / math.sqrt(cfg["replicas"])
     for l in range(1, 2 * L + 1, 2):
@@ -368,7 +359,7 @@ def _run_dunkl_quartercircle(cfg):
             p = simulate_dunkl_b(x0, nu, np.inf, t, cfg["dt"], RngStream(cfg["seed"] + 7919, r))
             return p.states[-1] / math.sqrt(n)
 
-        pool = np.concatenate(_replica_map(one_atoms, cfg["ks_replicas"], cfg.get("threads", 1)))
+        pool = np.concatenate([one_atoms(r) for r in range(cfg["ks_replicas"])])
         edge = 2.0 * math.sqrt(2.0 * t + 1.0)
         grid = np.linspace(-edge, edge, 2001)
         dens = quartercircle_dunkl_density(t, grid)
@@ -402,8 +393,8 @@ def _run_ou_interchange(cfg):
         )
         return EmpiricalMeasure.from_point(p.states[-1]).moments(L)
 
-    sd = np.array(_replica_map(direct, cfg["replicas"], cfg.get("threads", 1)))
-    st_ = np.array(_replica_map(transform, cfg["replicas"], cfg.get("threads", 1)))
+    sd = np.array([direct(r) for r in range(cfg["replicas"])])
+    st_ = np.array([transform(r) for r in range(cfg["replicas"])])
     for l in range(1, L + 1):
         se = math.hypot(
             sd[:, l].std(ddof=1) / math.sqrt(len(sd)), st_[:, l].std(ddof=1) / math.sqrt(len(st_))

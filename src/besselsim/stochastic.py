@@ -140,7 +140,8 @@ def _hot_pairs(x, threshold):
     Input is sorted descending; close pairs live inside runs of small
     adjacent gaps, so the scan is linear plus cluster-local work.
     """
-    n = x.size
+    x = x.tolist()  # float scalars: indexing an ndarray per pair costs more than the test
+    n = len(x)
     out = []
     for i in range(n - 1):
         for j in range(i + 1, n):
@@ -264,7 +265,7 @@ def simulate_bessel_a(x0, k: float, T: float, dt: float, stream: RngStream) -> P
 
 
 def simulate_bessel_b(x0, nu: float, beta: float, T: float, dt: float, stream: RngStream) -> PathSample:
-    """Renormalized type B path with drift sum_j X_i/(X_i^2 - X_j^2) + nu/X_i."""
+    """Renormalized type B path with drift sum_j 2 X_i/(X_i^2 - X_j^2) + nu/X_i (``drift_b``)."""
     if isinstance(nu, MultiplicityB):
         nu, beta = nu.nu, nu.beta
     MultiplicityB(nu, beta)

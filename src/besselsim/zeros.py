@@ -1,18 +1,23 @@
-"""Zeros of Hermite and Laguerre polynomials from electrostatic fixed points.
+"""Zeros of Hermite and Laguerre polynomials and their self-similar profiles.
 
-The ordered zeros z_1 > ... > z_N of the Hermite polynomial H_N are the
-unique ordered solution of
+The zeros are the eigenvalues of the symmetric tridiagonal Jacobi matrix
+of each family (Golub & Welsch, Math. Comp. 1969): for H_N the diagonal
+is 0 and the off-diagonal sqrt(j/2); for L_N^(nu-1) the diagonal is
+2j + nu and the off-diagonal sqrt(j (j + nu - 1)).
+
+The ordered zeros z_1 > ... > z_N of H_N are also the unique ordered
+solution of the electrostatic system
 
     z_i = sum_{j != i} 1/(z_i - z_j),
 
-and the zeros of the generalized Laguerre polynomial L_N^(nu-1) solve
+and the zeros of L_N^(nu-1) solve
 
     z_i = sum_{j != i} 2 z_i/(z_i - z_j) + nu.
 
-Newton iteration on these systems, initialized from semicircle (resp.
-Marchenko-Pastur) quantile grids, converges to machine precision without
-ever expanding a polynomial.  Scaled square-root profiles of the zeros
-are exact self-similar solutions of the frozen particle ODEs.
+That system is the check, not the solver: each ZeroProfile carries the
+max-norm of its defect at the returned zeros.  Scaled square-root
+profiles of the zeros are exact self-similar solutions of the frozen
+particle ODEs.
 """
 
 from __future__ import annotations
@@ -21,17 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .chambers import CHAMBER_A, CHAMBER_B, ChamberPoint
-
-
-class ConvergenceError(RuntimeError):
-    """Newton iteration failed; carries the last fixed-point residual."""
-
-    def __init__(self, message, residual):
-        super().__init__(f"{message} (last residual {residual:.3e})")
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -63,137 +60,39 @@ def laguerre_defect(z: np.ndarray, nu: float) -> np.ndarray:
     return z - nu - (2.0 * z[:, None] / d).sum(axis=1)
 
 
-def _hermite_system(z):
-    f = hermite_defect(z)
-    d = z[:, None] - z[None, :]
-    np.fill_diagonal(d, np.inf)
-    w = 1.0 / d**2
-    jac = -w
-    jac[np.diag_indices_from(jac)] = 1.0 + w.sum(axis=1)
-    return f, jac
-
-
-def _laguerre_system(z, nu):
-    f = laguerre_defect(z, nu)
-    d = z[:, None] - z[None, :]
-    np.fill_diagonal(d, np.inf)
-    w = 1.0 / d**2
-    jac = -2.0 * z[:, None] * w
-    jac[np.diag_indices_from(jac)] = 1.0 + (2.0 * z[None, :] * w).sum(axis=1)
-    return f, jac
-
-
-def semicircle_cdf(x, radius):
-    """CDF of the semicircle law with support [-radius, radius]."""
-    x = np.clip(np.asarray(x, dtype=float), -radius, radius)
-    return 0.5 + (x * np.sqrt(radius**2 - x**2) / radius**2 + np.arcsin(x / radius)) / np.pi
-
-
-def _semicircle_quantiles(n, radius):
-    """Quantiles of the semicircle law at (i - 1/2)/n, descending."""
-    ps = (np.arange(n, 0, -1) - 0.5) / n
-    return np.array(
-        [brentq(lambda x, p=p: semicircle_cdf(x, radius) - p, -radius, radius, xtol=1e-12) for p in ps]
-    )
-
-
-def _mp_quantiles(n, c, scale):
-    """Quantiles of the Marchenko-Pastur law (shape c >= 1, scale t), descending.
-
-    Only used as a Newton starting grid, so a dense trapezoid CDF is enough.
-    """
-    lo = scale * (math.sqrt(c) - 1.0) ** 2
-    hi = scale * (math.sqrt(c) + 1.0) ** 2
-    xs = np.linspace(lo, hi, 4001)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pdf = np.sqrt(np.maximum((hi - xs) * (xs - lo), 0.0)) / (2.0 * np.pi * xs * scale)
-    pdf[~np.isfinite(pdf)] = 0.0
-    cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * np.diff(xs))])
-    cdf /= cdf[-1]
-    ps = (np.arange(n, 0, -1) - 0.5) / n
-    return np.interp(ps, cdf, xs)
-
-
-def _newton(z0, system, tol, max_iter, order_ok, symmetrize=False):
-    z = z0.copy()
-    if symmetrize:
-        z = 0.5 * (z - z[::-1])
-    f, jac = system(z)
-    res = float(np.abs(f).max())
-    for _ in range(max_iter):
-        if res <= tol:
-            return z, res
-        step = np.linalg.solve(jac, f)
-        alpha = 1.0
-        while alpha >= 2.0**-40:
-            cand = z - alpha * step
-            if symmetrize:
-                cand = 0.5 * (cand - cand[::-1])
-            if order_ok(cand):
-                fc, jc = system(cand)
-                rc = float(np.abs(fc).max())
-                if np.isfinite(rc) and (rc < res or alpha < 1.0):
-                    z, f, jac, res = cand, fc, jc, rc
-                    break
-            alpha *= 0.5
-        else:
-            raise ConvergenceError("Newton damping exhausted", res)
-    if res <= tol:
-        return z, res
-    raise ConvergenceError("Newton did not converge", res)
-
-
-def hermite_zeros(n: int, tol: float = 1e-12, max_iter: int = 100) -> ZeroProfile:
-    """Ordered zeros of H_N via Newton on the electrostatic fixed point."""
+def hermite_zeros(n: int) -> ZeroProfile:
+    """Ordered zeros of H_N: eigenvalues of its Jacobi matrix."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if n == 1:
-        return ZeroProfile("hermite", 1, None, np.zeros(1), 0.0)
-    z0 = math.sqrt(n) * _semicircle_quantiles(n, math.sqrt(2.0))
-
-    def order_ok(z):
-        return bool(np.all(np.diff(z) < 0))
-
-    # stop once the defect is below tol relative to the zero scale (the
-    # fixed-point sums carry O(N eps |z|) cancellation noise)
-    tol_eff = tol * max(1.0, float(np.abs(z0).max()))
-    z, res = _newton(z0, _hermite_system, tol_eff, max_iter, order_ok, symmetrize=True)
-    return ZeroProfile("hermite", n, None, z, res)
+    off = np.sqrt(np.arange(1, n) / 2.0)
+    z = eigvalsh_tridiagonal(np.zeros(n), off)[::-1]
+    z = 0.5 * (z - z[::-1])  # exact mirror symmetry
+    return ZeroProfile("hermite", n, None, z, float(np.abs(hermite_defect(z)).max()))
 
 
-def laguerre_zeros(n: int, nu: float, tol: float = 1e-12, max_iter: int = 100) -> ZeroProfile:
-    """Ordered zeros of L_N^(nu-1) via Newton on the electrostatic fixed point."""
+def laguerre_zeros(n: int, nu: float) -> ZeroProfile:
+    """Ordered zeros of L_N^(nu-1): eigenvalues of its Jacobi matrix."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if nu <= 0:
         raise ValueError("nu must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if n == 1:
-        return ZeroProfile("laguerre", 1, nu, np.array([float(nu)]), 0.0)
-    z0 = 2.0 * n * _mp_quantiles(n, 1.0 + nu / n, 0.5)
-
-    def order_ok(z):
-        return bool(np.all(np.diff(z) < 0) and z[-1] > 0)
-
-    tol_eff = tol * max(1.0, float(np.abs(z0).max()))
-    z, res = _newton(z0, lambda z: _laguerre_system(z, nu), tol_eff, max_iter, order_ok)
-    return ZeroProfile("laguerre", n, nu, z, res)
+    j = np.arange(n, dtype=float)
+    off = np.sqrt(j[1:] * (j[1:] + nu - 1.0))
+    z = eigvalsh_tridiagonal(2.0 * j + nu, off)[::-1]
+    return ZeroProfile("laguerre", n, nu, z, float(np.abs(laguerre_defect(z, nu)).max()))
 
 
-def profile_solution_a(n: int, c: float, t: float, tol: float = 1e-12) -> ChamberPoint:
+def profile_solution_a(n: int, c: float, t: float) -> ChamberPoint:
     """Self-similar type A profile sqrt(2t + c^2) * (Hermite zeros)."""
     if c < 0 or t < 0:
         raise ValueError("c and t must be nonnegative")
-    z = hermite_zeros(n, tol=tol).zeros
+    z = hermite_zeros(n).zeros
     return ChamberPoint(math.sqrt(2.0 * t + c * c) * z, CHAMBER_A)
 
 
-def profile_solution_b(n: int, nu: float, c: float, t: float, tol: float = 1e-12) -> ChamberPoint:
+def profile_solution_b(n: int, nu: float, c: float, t: float) -> ChamberPoint:
     """Self-similar type B profile sqrt(2t + c^2) * sqrt(Laguerre zeros)."""
     if c < 0 or t < 0:
         raise ValueError("c and t must be nonnegative")
-    z = laguerre_zeros(n, nu, tol=tol).zeros
+    z = laguerre_zeros(n, nu).zeros
     return ChamberPoint(math.sqrt(2.0 * t + c * c) * np.sqrt(z), CHAMBER_B)

@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from besselsim.cli import main
 from besselsim.zeros import hermite_zeros, laguerre_zeros
@@ -68,6 +69,23 @@ def test_simulate_subcommand(tmp_path):
     assert states.shape == (3, 4)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["replicas"] == 3 and manifest["seed"] == 7
+
+
+@pytest.mark.parametrize(
+    "system,given,flag",
+    [
+        ("bessel-a", [], "--k"),
+        ("bessel-ou", [], "--k"),
+        ("bessel-b", ["--beta", "2"], "--nu"),
+        ("bessel-b", ["--nu", "2"], "--beta"),
+        ("dunkl-b", ["--beta", "inf"], "--nu"),
+        ("dunkl-b", ["--nu", "0"], "--beta"),
+    ],
+)
+def test_simulate_names_missing_parameter(tmp_path, system, given, flag):
+    argv = ["simulate", "--system", system, "--n", "3", "--t", "0.1", "--dt", "0.05"]
+    with pytest.raises(SystemExit, match=flag):
+        main(argv + given + ["--out", str(tmp_path / "run")])
 
 
 def test_limit_moments_subcommand(tmp_path):

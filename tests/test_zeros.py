@@ -106,7 +106,7 @@ def test_laguerre_residual_and_positivity(n, nu):
     assert np.all(np.diff(prof.zeros) < 0) or n == 1
 
 
-@pytest.mark.parametrize("n", [2, 5, 9, 30])
+@pytest.mark.parametrize("n", [2, 5, 9, 30, 2000])
 def test_vieta_sums(n):
     # Hermite zeros sum to 0; Laguerre zeros of L_n^(nu-1) sum to n(n+nu-1).
     z = hermite_zeros(n).zeros
@@ -117,11 +117,18 @@ def test_vieta_sums(n):
         assert abs(z.sum() - expect) < 1e-9 * expect
 
 
+@pytest.mark.parametrize("n,nu", [(10, 1e-5), (100, 1e-4)])
+def test_laguerre_product_identity_small_nu(n, nu):
+    # prod z_i = (nu)_N for L_N^(nu-1); at small nu the smallest zero is
+    # about nu, so this checks it to relative accuracy, not just absolute.
+    z = laguerre_zeros(n, nu).zeros
+    expect = sum(math.log(nu + j) for j in range(n))
+    assert abs(np.log(z).sum() - expect) < 1e-9
+
+
 def test_invalid_parameters():
     with pytest.raises(ValueError):
         hermite_zeros(0)
-    with pytest.raises(ValueError):
-        hermite_zeros(4, tol=0.0)
     with pytest.raises(ValueError):
         laguerre_zeros(3, 0.0)
     with pytest.raises(ValueError):
