@@ -70,6 +70,7 @@ def _cmd_frozen(args):
 def _cmd_simulate(args):
     from .stochastic import (
         RngStream,
+        _record_grid,
         simulate_bessel_a,
         simulate_bessel_b,
         simulate_bessel_ou,
@@ -87,11 +88,26 @@ def _cmd_simulate(args):
         raise SystemExit(f"{args.system} needs {' and '.join(missing)}")
     if args.start is not None:
         x0 = np.loadtxt(args.start, ndmin=1)
+        if x0.size != args.n:
+            raise SystemExit(f"--start {args.start} holds {x0.size} coordinates but --n is {args.n}")
     else:
         x0 = np.zeros(args.n)
+    try:
+        grid = _record_grid(args.t, args.dt)
+    except ValueError:
+        raise SystemExit(f"simulate needs --t >= 0 and --dt > 0, got --t {args.t:g} --dt {args.dt:g}")
     record = (
         [float(v) for v in args.record.split(",")] if args.record else [args.t]
     )
+    record_idx = {}
+    for t_rec in record:
+        idx = int(np.argmin(np.abs(grid - t_rec)))
+        if not 0.0 <= t_rec <= args.t or abs(grid[idx] - t_rec) > 1e-9 * max(1.0, args.t):
+            raise SystemExit(
+                f"--record {t_rec:g} is not on the record grid of --t {args.t:g} --dt {args.dt:g}; "
+                f"the nearest grid time is {grid[idx]:.12g}"
+            )
+        record_idx[t_rec] = idx
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     beta = math.inf if args.beta == "inf" else float(args.beta) if args.beta else None
@@ -109,8 +125,7 @@ def _cmd_simulate(args):
             path = simulate_dunkl_b(x0, args.nu, beta, args.t, args.dt, stream)
         else:
             raise SystemExit(f"unknown system {args.system!r}")
-        for t_rec in record:
-            idx = int(np.argmin(np.abs(path.times - t_rec)))
+        for t_rec, idx in record_idx.items():
             runs.setdefault(t_rec, []).append(path.states[idx])
     for t_rec, rows in runs.items():
         lines = [",".join(f"{v:.17g}" for v in row) for row in rows]
@@ -224,7 +239,10 @@ def _cmd_validate(args):
     config = json.loads(Path(args.config).read_text())
     if args.replicas is not None:
         config["replicas"] = args.replicas
-    report = run_experiment(config, out_dir=args.out)
+    try:
+        report = run_experiment(config, out_dir=args.out)
+    except ValueError as err:
+        raise SystemExit(f"validate: {err}")
     n_hard = sum(1 for r in report.rows if r["hard"])
     n_fail = sum(1 for r in report.rows if r["hard"] and not r["passed"])
     for r in report.rows:

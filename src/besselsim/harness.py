@@ -511,6 +511,12 @@ def run_experiment(config: dict, out_dir=None) -> ExperimentReport:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     defaults, runner = PRESETS[name]
+    unknown = sorted(set(config) - set(defaults) - {"preset", "seed"})
+    if unknown:
+        raise ValueError(
+            f"unknown config keys for preset {name!r}: {', '.join(map(repr, unknown))}; "
+            f"allowed: {', '.join(sorted(defaults))}, seed"
+        )
     cfg = dict(defaults)
     cfg.update({k: v for k, v in config.items() if k != "preset"})
     cfg.setdefault("seed", 12345)

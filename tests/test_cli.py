@@ -88,6 +88,25 @@ def test_simulate_names_missing_parameter(tmp_path, system, given, flag):
         main(argv + given + ["--out", str(tmp_path / "run")])
 
 
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        (["--start", "{start}"], "holds 3 coordinates but --n is 4"),
+        (["--record", "0.04"], "nearest grid time is 0.0333333333333$"),
+        (["--record", "0.1,0.12"], "--record 0.12 .* nearest grid time is 0.1$"),
+        (["--record", "-0.01"], "nearest grid time is 0$"),
+    ],
+)
+def test_simulate_rejects_bad_start_and_record(tmp_path, extra, message):
+    start = tmp_path / "x0.txt"
+    start.write_text("3\n2\n1\n")
+    argv = ["simulate", "--system", "bessel-a", "--k", "1", "--n", "4", "--t", "0.1", "--dt", "0.03"]
+    extra = [a.format(start=start) for a in extra]
+    with pytest.raises(SystemExit, match=message):
+        main(argv + extra + ["--out", str(tmp_path / "run")])
+    assert not (tmp_path / "run").exists()
+
+
 def test_limit_moments_subcommand(tmp_path):
     out = tmp_path / "m.csv"
     rc = main(
@@ -158,6 +177,10 @@ def test_validate_subcommand(tmp_path, capsys):
         json.dumps({"preset": "frozen-a-profile", "n_list": [6], "t_list": [0.5], "tol": 1e-18})
     )
     assert main(["validate", "--config", str(cfg2)]) == 1
+
+    # a key the preset does not take is named, not ignored
+    with pytest.raises(SystemExit, match="'replicas'"):
+        main(["validate", "--config", str(cfg), "--replicas", "5"])
 
 
 def test_limit_law_b_density_subcommand(tmp_path):

@@ -115,6 +115,18 @@ def test_unknown_preset_rejected():
         run_experiment({"preset": "not-a-preset"})
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [{"n_lst": [6]}, {"threads": 2}, {"n_lst": [6], "threads": 2, "t_list": [0.5]}],
+)
+def test_unknown_config_keys_rejected(extra):
+    with pytest.raises(ValueError) as err:
+        run_experiment({"preset": "frozen-a-profile", **extra})
+    for key in set(extra) - {"t_list"}:
+        assert repr(key) in str(err.value)
+    assert "'t_list'" not in str(err.value).split(";")[0]
+
+
 def test_write_report_roundtrip(tmp_path):
     rep = run_experiment({"preset": "frozen-a-profile", "n_list": [6], "t_list": [0.5]})
     write_report(rep, tmp_path)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import besselsim.stochastic as st
 from besselsim.chambers import CHAMBER_A, CHAMBER_B, FULL_SPACE, Reflection
+from besselsim.frozen import solve_frozen
 from besselsim.stochastic import (
     MultiplicityA,
     MultiplicityB,
@@ -175,8 +177,6 @@ def test_dunkl_frozen_even_moments_deterministic():
 
 
 def test_dunkl_frozen_magnitudes_match_frozen_b():
-    from besselsim.frozen import solve_frozen
-
     x0 = np.linspace(5.0, 1.0, 12)
     p = simulate_dunkl_b(x0, 1.0, math.inf, 0.4, 0.01, RngStream(3, 0))
     traj = solve_frozen("b", x0, [0.0, 0.4], nu=1.0)
@@ -245,3 +245,40 @@ def test_projection_violation_shrinks_with_dt():
             pooled = max(pooled, p.diagnostics["max_violation"])
         viols.append(pooled)
     assert viols[1] < viols[0]
+
+
+def test_dunkl_envelope_solved_once_per_start(monkeypatch):
+    envs = []
+
+    def counting(*args, **kwargs):
+        envs.append(solve_frozen(*args, **kwargs))
+        return envs[-1]
+
+    st._dunkl_envelope.cache_clear()
+    monkeypatch.setattr(st, "solve_frozen", counting)
+    x0 = np.array([2.0, -1.0, 0.5])
+    streams = [RngStream(3, 0), RngStream(3, 1), RngStream(4, 0), RngStream(5, 7)]
+    paths = [simulate_dunkl_b(x0, 1.0, math.inf, 0.2, 0.01, s) for s in streams]
+    assert len(envs) == 1
+    assert all(
+        (p.diagnostics["rk_accepted"], p.diagnostics["rk_rejected"])
+        == (envs[0].n_accepted, envs[0].n_rejected)
+        for p in paths
+    )
+    assert envs[0].n_accepted > 0
+    assert not envs[0].states.flags.writeable
+    with pytest.raises(ValueError):
+        envs[0].states[0, 0] = 0.0
+    simulate_dunkl_b(x0, 2.0, math.inf, 0.2, 0.01, RngStream(3, 0))
+    assert [e.nu for e in envs] == [1.0, 2.0]
+
+
+def test_dunkl_envelope_reuse_is_bitwise():
+    x0 = np.array([2.5, -1.5, 1.0, -0.25])
+    warm = [simulate_dunkl_b(x0, 1.0, math.inf, 0.3, 0.01, RngStream(6, r)) for r in range(2)]
+    st._dunkl_envelope.cache_clear()
+    cold = simulate_dunkl_b(x0, 1.0, math.inf, 0.3, 0.01, RngStream(6, 1))
+    assert st._dunkl_envelope.cache_info().misses == 1
+    assert np.array_equal(warm[1].states, cold.states)
+    assert warm[1].jump_log == cold.jump_log
+    assert warm[1].diagnostics == cold.diagnostics
