@@ -121,20 +121,7 @@ def regularity_gap(point: ChamberPoint) -> float:
     sums and the coordinates themselves.  A single type A particle has no
     hyperplanes, so the gap is +inf by convention.
     """
-    x = point.coords
-    if point.chamber == CHAMBER_A:
-        if x.size == 1:
-            return np.inf
-        s = np.sort(x)
-        return float(np.min(np.diff(s)))
-    # B hyperplanes: x_i = x_j, x_i = -x_j, x_i = 0.  For arbitrary signs,
-    # min over |x_i - x_j| and |x_i + x_j| equals the minimum gap between
-    # sorted absolute values.
-    a = np.sort(np.abs(x))
-    gap = float(a[0])
-    if a.size > 1:
-        gap = min(gap, float(np.min(np.diff(a))))
-    return gap
+    return drift_gap(point, 1.0)
 
 
 def drift_gap(point: ChamberPoint, nu: float) -> float:
@@ -146,9 +133,10 @@ def drift_gap(point: ChamberPoint, nu: float) -> float:
     """
     x = point.coords
     if point.chamber == CHAMBER_A:
-        return regularity_gap(point)
+        return float(np.min(np.diff(np.sort(x)))) if x.size > 1 else np.inf
+    # B hyperplanes: x_i = x_j, x_i = -x_j, x_i = 0.  For arbitrary signs,
+    # min over |x_i - x_j| and |x_i + x_j| equals the minimum gap between
+    # sorted absolute values.
     a = np.sort(np.abs(x))
     gap = float(a[0]) if nu > 0 else np.inf
-    if a.size > 1:
-        gap = min(gap, float(np.min(np.diff(a))))
-    return gap
+    return min(gap, float(np.min(np.diff(a)))) if a.size > 1 else gap

@@ -108,25 +108,24 @@ def _cmd_simulate(args):
                 f"the nearest grid time is {grid[idx]:.12g}"
             )
         record_idx[t_rec] = idx
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     beta = math.inf if args.beta == "inf" else float(args.beta) if args.beta else None
     k = math.inf if args.k == "inf" else float(args.k) if args.k else None
+    run_one = {
+        "bessel-a": lambda s: simulate_bessel_a(x0, k, args.t, args.dt, s),
+        "bessel-b": lambda s: simulate_bessel_b(x0, args.nu, beta, args.t, args.dt, s),
+        "bessel-ou": lambda s: simulate_bessel_ou(x0, k, args.lam, args.t, args.dt, s),
+        "dunkl-b": lambda s: simulate_dunkl_b(x0, args.nu, beta, args.t, args.dt, s),
+    }[args.system]
     runs = {}
     for r in range(args.replicas):
-        stream = RngStream(args.seed, r)
-        if args.system == "bessel-a":
-            path = simulate_bessel_a(x0, k, args.t, args.dt, stream)
-        elif args.system == "bessel-b":
-            path = simulate_bessel_b(x0, args.nu, beta, args.t, args.dt, stream)
-        elif args.system == "bessel-ou":
-            path = simulate_bessel_ou(x0, k, args.lam, args.t, args.dt, stream)
-        elif args.system == "dunkl-b":
-            path = simulate_dunkl_b(x0, args.nu, beta, args.t, args.dt, stream)
-        else:
-            raise SystemExit(f"unknown system {args.system!r}")
+        try:
+            path = run_one(RngStream(args.seed, r))
+        except ValueError as err:
+            raise SystemExit(f"simulate: {err}")
         for t_rec, idx in record_idx.items():
             runs.setdefault(t_rec, []).append(path.states[idx])
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for t_rec, rows in runs.items():
         lines = [",".join(f"{v:.17g}" for v in row) for row in rows]
         (out / f"states_t{t_rec:g}.csv").write_text("\n".join(lines) + "\n")

@@ -16,6 +16,7 @@ where those exist.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -35,7 +36,13 @@ from .freeprob import (
     quartercircle_law,
     semicircle,
 )
-from .moments import limit_moments_a, limit_moments_b, limit_moments_dunkl
+from .moments import (
+    finite_size_moments_a,
+    finite_size_moments_b,
+    limit_moments_a,
+    limit_moments_b,
+    limit_moments_dunkl,
+)
 from .stochastic import RngStream, simulate_bessel_a, simulate_bessel_b, simulate_dunkl_b
 from .frozen import ou_transform_frozen, solve_frozen
 from .zeros import hermite_zeros, laguerre_zeros
@@ -250,14 +257,15 @@ def _run_frozen_a_limit(cfg):
     return rows
 
 
-def _sde_moment_rows(name, cfg, run_replica, ref_moments, L, n, t):
+def _sde_moment_rows(name, cfg, run_replica, ref_moments, limit, L, n, t):
+    """Monte Carlo moments against ref_moments, in bands of rel_band * |limit| or 3 stderr."""
     reps = cfg["replicas"]
     samples = np.array([run_replica(r) for r in range(reps)])
     rows = []
     means = samples.mean(axis=0)
     stderrs = samples.std(axis=0, ddof=1) / math.sqrt(reps)
     for l in range(1, L + 1):
-        band = max(cfg["rel_band"] * abs(ref_moments[l]), 3.0 * stderrs[l])
+        band = max(cfg["rel_band"] * abs(limit[l]), 3.0 * stderrs[l])
         rows.append(
             _row(name, n, t, f"moment-{l}", abs(means[l] - ref_moments[l]), band, stderr=stderrs[l])
         )
@@ -265,40 +273,30 @@ def _sde_moment_rows(name, cfg, run_replica, ref_moments, L, n, t):
 
 
 def _run_bessel_a_sde(cfg):
+    """Moments per k against the limit, or for a zero start against the exact
+    O(1/N)-corrected expectations; k-pairs compare offsets from those references."""
     rows = []
     n, t, L = cfg["n"], cfg["t"], cfg["order"]
     x0 = starting_profile(cfg["start"], n, SCALE_SQRT_N, CHAMBER_A)
-    ref = limit_moments_a(list(EmpiricalMeasure.from_point(x0).moments(L)), t, L).floats()
+    limit = limit_moments_a(list(EmpiricalMeasure.from_point(x0).moments(L)), t, L).floats()
     per_k = {}
     for k in cfg["k_list"]:
         def one(r, k=k):
             p = simulate_bessel_a(x0, k, t, cfg["dt"], RngStream(cfg["seed"], r))
             return EmpiricalMeasure.from_point(p.states[-1]).moments(L)
 
+        ref = np.array(finite_size_moments_a(k, L, n, t)) if cfg["start"] == "zero" else limit
         krows, means, stderrs = _sde_moment_rows(
-            f"bessel-a-sde[k={k}]", cfg, one, ref, L, n, t
+            f"bessel-a-sde[k={k}]", cfg, one, ref, limit, L, n, t
         )
         rows.extend(krows)
-        per_k[k] = (means, stderrs)
-    ks = list(per_k)
-    for a in range(len(ks)):
-        for b in range(a + 1, len(ks)):
-            ma, sa = per_k[ks[a]]
-            mb, sb = per_k[ks[b]]
-            for l in range(1, L + 1):
-                band = max(
-                    cfg["rel_band"] * abs(ref[l]), 3.0 * math.hypot(sa[l], sb[l])
-                )
-                rows.append(
-                    _row(
-                        f"bessel-a-sde[k={ks[a]} vs k={ks[b]}]",
-                        n,
-                        t,
-                        f"moment-{l}",
-                        abs(ma[l] - mb[l]),
-                        band,
-                    )
-                )
+        per_k[k] = (means - ref, stderrs)
+    for ka, kb in itertools.combinations(per_k, 2):
+        (oa, sa), (ob, sb) = per_k[ka], per_k[kb]
+        for l in range(1, L + 1):
+            band = max(cfg["rel_band"] * abs(limit[l]), 3.0 * math.hypot(sa[l], sb[l]))
+            gap = abs(oa[l] - ob[l])
+            rows.append(_row(f"bessel-a-sde[k={ka} vs k={kb}]", n, t, f"moment-{l}", gap, band))
     return rows
 
 
@@ -308,13 +306,18 @@ def _run_bessel_b_sde(cfg):
     nu = cfg["nu0"] * n
     x0 = starting_profile(cfg["start"], n, SCALE_SQRT_2N, CHAMBER_B)
     sq0 = EmpiricalMeasure.from_point(x0, SCALE_SQRT_2N).squared().moments(L)
-    ref = limit_moments_b([1.0] + list(sq0[1:]), cfg["nu0"], t, L).floats()
+    limit = limit_moments_b([1.0] + list(sq0[1:]), cfg["nu0"], t, L).floats()
     for beta in cfg["beta_list"]:
         def one(r, beta=beta):
             p = simulate_bessel_b(x0, nu, beta, t, cfg["dt"], RngStream(cfg["seed"], r))
             return EmpiricalMeasure.from_point(p.states[-1], SCALE_SQRT_2N).squared().moments(L)
 
-        krows, _, _ = _sde_moment_rows(f"bessel-b-sde[beta={beta}]", cfg, one, ref, L, n, t)
+        ref = limit
+        if cfg["start"] == "zero":
+            ref = np.array(finite_size_moments_b(cfg["nu0"], beta, L, n, t))
+        krows, _, _ = _sde_moment_rows(
+            f"bessel-b-sde[beta={beta}]", cfg, one, ref, limit, L, n, t
+        )
         rows.extend(krows)
     return rows
 

@@ -219,6 +219,45 @@ def limit_moment_polys_dunkl(c0, nu0, L: int) -> list[TPoly]:
     return polys
 
 
+def finite_size_moments_a(k, L: int, n: int, t) -> list[float]:
+    """Type A E S_{N,l}(t) = c_l(t) + d_l(t)/N + O(1/N^2), delta_0 start, from
+    d_l' = (l/2)[(1-l) c_{l-2} + sum_j (c_{l-2-j} d_j + c_j d_{l-2-j})]
+           + l(l-1)/(2k) c_{l-2},  d_l(0) = 0  (E S_6(1) = 5 + 22/N at k = 1/2).
+    """
+    c = limit_moment_polys_a([1] + [0] * L, L)
+    d = [TPoly([0]) for _ in range(L + 1)]
+    for l in range(2, L + 1):
+        s = TPoly([0])
+        for j in range(l - 1):
+            s = s + c[l - 2 - j] * d[j] + c[j] * d[l - 2 - j]
+        d[l] = (
+            Fraction(l, 2) * ((1 - l) * c[l - 2] + s)
+            + Fraction(l * (l - 1), 2) / Fraction(k) * c[l - 2]
+        ).integrate()
+    t = Fraction(t)
+    return [float(c[l](t)) + float(d[l](t)) / n for l in range(L + 1)]
+
+
+def finite_size_moments_b(nu0, beta, L: int, n: int, t) -> list[float]:
+    """Type B squared-side E S_{N,l}(t) = c_l + e_l/N + O(1/N^2), delta_0 start,
+    from the finite-N drift with nu replaced by nu + (2l-1)/(2 beta):
+    e_l' = l[((2l-1)/(2 beta) - l) c_{l-1} + (2 + nu0) e_{l-1}
+           + sum_{j=1}^{l-2} (c_{l-1-j} e_j + c_j e_{l-1-j})].
+    """
+    c = limit_moment_polys_b([1] + [0] * L, Fraction(nu0), L)
+    e = [TPoly([0]) for _ in range(L + 1)]
+    for l in range(1, L + 1):
+        s = TPoly([0])
+        for j in range(1, l - 1):
+            s = s + c[l - 1 - j] * e[j] + c[j] * e[l - 1 - j]
+        e[l] = (
+            l * ((Fraction(2 * l - 1, 2) / Fraction(beta) - l) * c[l - 1]
+                 + (2 + Fraction(nu0)) * e[l - 1] + s)
+        ).integrate()
+    t = Fraction(t)
+    return [float(c[l](t)) + float(e[l](t)) / n for l in range(L + 1)]
+
+
 def _evaluate(polys, t, scaling):
     exact_t = isinstance(t, (int, Fraction))
     vals = [p(t if exact_t else float(t)) for p in polys]

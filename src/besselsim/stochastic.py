@@ -5,9 +5,10 @@ exact local flows across the singular hyperplanes: any pair close enough
 that an Euler increment stops tracking its mutual repulsion is advanced
 by the closed-form gap flow instead (and likewise wall-adjacent type B
 coordinates), which preserves each interaction's exact second-moment
-production rate.  States re-project onto the chamber after every
-sub-step; the true processes never hit the walls, so projection only
-corrects scheme overshoot, and the pre-projection violation is tracked.
+production rate.  A sub-step works on raw sorted arrays and re-sorts the
+state onto the chamber (type B: of absolute values); the true processes
+never hit the walls, so this only corrects scheme overshoot, and the
+pre-projection violation is tracked with the sub-step and flow counts.
 
 The full-space jump dynamics of type B superpose reflection jumps on the
 type B drift.  Jumps are sampled by first-event thinning: the next jump
@@ -40,6 +41,7 @@ from .chambers import (
     FULL_SPACE,
     ChamberPoint,
     Reflection,
+    apply_reflection,
     project_to_chamber,
 )
 from .frozen import IntegrationError, drift_a, drift_b, solve_frozen
@@ -48,6 +50,11 @@ from .frozen import IntegrationError, drift_a, drift_b, solve_frozen
 # thinning: their rates are unbounded but the reflections displace the state
 # by less than the threshold, so they are near-identities.
 _JUMP_EXCLUSION = 1e-8
+
+# Work counters of an Euler-Maruyama path, summed over transform-mode segments.
+_EM_COUNTERS = ("substeps", "floor_substeps", "pair_flows", "wall_flows", "clipped")
+# Drift corrections of a hot pair (i, j), interleaved as (i, j): -1/u and +1/u.
+_PAIR_SIGNS = np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -108,131 +115,133 @@ def _record_grid(T: float, dt: float) -> np.ndarray:
     return np.linspace(0.0, T, n + 1)
 
 
-def _pair_gap(x_sorted_desc):
-    if x_sorted_desc.size < 2:
-        return np.inf
-    return float(np.min(x_sorted_desc[:-1] - x_sorted_desc[1:]))
+def _gaps(x, wall):
+    """Adjacent gaps of a sorted state and the step gap (wall included when active)."""
+    d = x[:-1] - x[1:]
+    g = float(d.min()) if d.size else math.inf
+    if wall:
+        g = min(g, float(x[-1]))
+    return d, g
 
 
 def _tamed_increment(drift_vec, h, cap):
     """Drift displacement h*b, hard-clipped coordinatewise at cap.
 
-    A hard clip is the identity below the cap (a smooth 1/(1+r) taming
-    would shrink every displacement by its ratio to the cap and visibly
-    distort the drift at large N); clipping engages only on explosion-
-    scale outliers that the exact local flows did not cover.
+    The identity below the cap (a smooth 1/(1+r) taming would visibly
+    distort the drift at large N); it engages only on explosion-scale
+    outliers that the exact local flows did not cover.
     """
     disp = h * drift_vec
     return np.clip(disp, -cap, cap)
 
 
-def _neighbor_gaps(x_sorted_desc):
-    """Per-coordinate distance to the nearest neighbor (sorted input)."""
-    if x_sorted_desc.size == 1:
-        return np.array([np.inf])
-    d = x_sorted_desc[:-1] - x_sorted_desc[1:]
-    left = np.concatenate([[np.inf], d])
-    right = np.concatenate([d, [np.inf]])
-    return np.minimum(left, right)
-
-
-def _hot_pairs(x, threshold):
-    """All pairs (i, j) with x_i - x_j below threshold, tightest first.
-
-    Input is sorted descending; close pairs live inside runs of small
-    adjacent gaps, so the scan is linear plus cluster-local work.
-    """
-    x = x.tolist()  # float scalars: indexing an ndarray per pair costs more than the test
-    n = len(x)
-    out = []
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            span = x[i] - x[j]
-            if span >= threshold:
-                break
-            out.append((span, i, j))
-    out.sort(key=lambda p: p[0])
-    return out
-
-
-def _em_path(
-    x0, drift, sigma, chamber, T, dt, rng, gap_of, gap_scale, safety=1.0, nu=0.0
-):
+def _em_path(x0, drift, sigma, chamber, T, dt, rng, gap_scale, nu=0.0):
     """Euler-Maruyama with exact local flows across the singular hyperplanes.
 
-    Sub-steps obey h <= safety * gap^2 * gap_scale with a floor of dt/8.
-    Every pair closer than 4 sqrt(h) (the scale where an Euler increment
-    stops tracking the singular repulsion) has its mutual flow du = 2/u dt
-    applied exactly as u' = sqrt(u^2 + 4h), tightest pair first; a type B
-    coordinate inside 4 sqrt(nu h) of the wall gets the exact wall flow
-    x' = sqrt(x^2 + 2 nu h).  These maps preserve each interaction term's
-    exact second-moment production, they bound the remaining Euler drift
-    by sqrt(h)/4 per interaction, and their deterministic gap expansion
-    (u' >= 2 sqrt(h)) keeps the step controller away from a collapse
-    trap.  Coordinatewise taming remains as a pure explosion guard and is
-    inactive in all regular regimes.  States re-project onto the chamber
-    after every sub-step.
+    Sub-steps obey h <= gap^2 * gap_scale with a floor of dt/8, where the
+    gap is the smallest adjacent gap (and, for type B with nu > 0, the
+    distance to the wall).  Every pair closer than 4 sqrt(h) (the scale
+    where an Euler increment stops tracking the singular repulsion) has
+    its mutual flow du = 2/u dt applied exactly as u' = sqrt(u^2 + 4h),
+    tightest pair first; a type B coordinate inside 4 sqrt(nu h) of the
+    wall gets the exact wall flow x' = sqrt(x^2 + 2 nu h).  These maps
+    preserve each interaction term's exact second-moment production, they
+    bound the remaining Euler drift by sqrt(h)/4 per interaction, and
+    their deterministic gap expansion (u' >= 2 sqrt(h)) keeps the step
+    controller away from a collapse trap.  Coordinatewise taming remains
+    as a pure explosion guard and is inactive in all regular regimes.
+
+    Each sub-step works on raw sorted arrays: one pass of adjacent gaps
+    gives the step gap and the taming cap, and the state re-sorts onto the
+    chamber afterwards.  Diagnostics: worst pre-projection violation, the
+    smallest step gap, and counts of sub-steps, floor-limited sub-steps,
+    pair and wall flows, and clipped drift coordinates.
     """
     times = _record_grid(T, dt)
-    x = x0.copy()
-    n = x.size
+    x, n = x0, x0.size  # never written in place: each sub-step makes a new array
     states = np.empty((times.size, n))
     states[0] = x
-    max_violation = 0.0
-    min_gap = gap_of(x)
-    h_floor = dt / 8.0
     wall = chamber == CHAMBER_B and nu > 0
+    h_floor = dt / 8.0
+    max_violation = 0.0
+    min_gap = _gaps(x, wall)[1]
+    count = dict.fromkeys(_EM_COUNTERS, 0)
     for idx in range(1, times.size):
-        t_target = times[idx]
-        t = times[idx - 1]
+        t, t_target = times[idx - 1], times[idx]
         while t_target - t > 1e-12 * max(1.0, T):
-            g = gap_of(x)
+            d, g = _gaps(x, wall)
             min_gap = min(min_gap, g)
-            h = min(dt, t_target - t, max(safety * g * g * gap_scale, h_floor))
+            h_gap = g * g * gap_scale
+            h = min(dt, t_target - t, max(h_gap, h_floor))
             if h <= 0.0 or t + h == t:
                 raise IntegrationError("step size underflow", t, h)
+            count["substeps"] += 1
+            count["floor_substeps"] += int(h_gap < h_floor)
             noise_scale = sigma * math.sqrt(h)
             root_h = math.sqrt(h)
             b = drift(x)
-            wall_hot = []
-            if wall:
-                wall_thresh = 4.0 * math.sqrt(nu * h)
-                for i in range(n - 1, -1, -1):
-                    if x[i] < wall_thresh:
-                        wall_hot.append(i)
-                        b[i] -= nu / x[i]
-                    else:
-                        break
-            hot = _hot_pairs(x, 4.0 * root_h) if n > 1 else []
-            for u, i, j in hot:
-                b[i] -= 1.0 / u
-                b[j] += 1.0 / u
-            cap = np.maximum(
-                np.maximum(16.0 * noise_scale, 4.0 * root_h), 0.5 * _neighbor_gaps(x)
-            )
-            x_raw = x + _tamed_increment(b, h, cap)
-            for _, i, j in hot:
-                c = 0.5 * (x_raw[i] + x_raw[j])
-                u = x_raw[i] - x_raw[j]
-                u_new = math.sqrt(u * u + 4.0 * h)
-                x_raw[i] = c + 0.5 * u_new
-                x_raw[j] = c - 0.5 * u_new
-            for i in wall_hot:
-                x_raw[i] = math.sqrt(max(x_raw[i], 0.0) ** 2 + 2.0 * nu * h)
+            # A sorted type B state is inside the wall layer on a suffix.
+            n_wall = int(np.count_nonzero(x < 4.0 * math.sqrt(nu * h))) if wall else 0
+            if n_wall:
+                b[-n_wall:] -= nu / x[-n_wall:]
+            # Hot pairs (i, i + k) by offset k: spans grow with k in a sorted state.
+            thr = 4.0 * root_h
+            hot = []
+            s, k = d, 1
+            while (i := (s < thr).nonzero()[0]).size:
+                hot.append((s[i], i, i + k))
+                k += 1
+                s = x[:-k] - x[k:]
+            ends = []
+            if hot:
+                spans, hot_i, hot_j = map(np.concatenate, zip(*hot))
+                order = np.lexsort((hot_j, hot_i, spans))  # tightest first, then by (i, j)
+                inv = 1.0 / spans[order]
+                ij = np.empty(2 * order.size, dtype=np.intp)
+                ij[0::2] = hot_i[order]
+                ij[1::2] = hot_j[order]
+                np.add.at(b, ij, (inv[:, None] * _PAIR_SIGNS).ravel())
+                ends = ij.tolist()
+            # The cap is at least cap0 everywhere, so below cap0 nothing clips.
+            disp = h * b
+            cap0 = max(16.0 * noise_scale, 4.0 * root_h)
+            if np.abs(disp).max() > cap0:
+                near = np.full(n, np.inf)
+                near[1:] = d
+                near[:-1] = np.minimum(near[:-1], d)
+                inc = _tamed_increment(b, h, np.maximum(cap0, 0.5 * near))
+                count["clipped"] += int(np.count_nonzero(inc != disp))
+                disp = inc
+            x_raw = x + disp
+            if ends or n_wall:
+                # Sequential on Python floats: overlapping pairs share particles,
+                # and the wall flow keeps the float power of the scalar loop.
+                xl = x_raw.tolist()
+                h4 = 4.0 * h
+                for a, c in zip(ends[0::2], ends[1::2]):
+                    mid = 0.5 * (xl[a] + xl[c])
+                    u = xl[a] - xl[c]
+                    u_new = math.sqrt(u * u + h4)
+                    xl[a] = mid + 0.5 * u_new
+                    xl[c] = mid - 0.5 * u_new
+                for a in range(n - n_wall, n):
+                    xl[a] = math.sqrt(max(xl[a], 0.0) ** 2 + 2.0 * nu * h)
+                x_raw = np.array(xl)
+                count["pair_flows"] += len(ends) // 2
+                count["wall_flows"] += n_wall
             if sigma > 0:
                 x_raw += noise_scale * rng.standard_normal(n)
-            if chamber == CHAMBER_A:
-                viol = float(np.max(np.diff(x_raw), initial=0.0))
-            else:
-                viol = max(
-                    float(np.max(np.diff(np.abs(x_raw)), initial=0.0)),
-                    float(max(0.0, -np.min(x_raw))),
-                )
+            y = x_raw if chamber == CHAMBER_A else np.abs(x_raw)
+            viol = float((y[1:] - y[:-1]).max(initial=0.0))
+            if chamber == CHAMBER_B:
+                viol = max(viol, float(max(0.0, -x_raw.min())))
             max_violation = max(max_violation, viol)
-            x = project_to_chamber(x_raw, chamber).coords
+            if not np.isfinite(y).all():
+                raise ValueError("non-finite input coordinates")
+            x = np.sort(y)[::-1]
             t += h
         states[idx] = x
-    return times, states, {"max_violation": max_violation, "min_gap": min_gap}
+    return times, states, {"max_violation": max_violation, "min_gap": min_gap, **count}
 
 
 def _frozen_as_path(system, x0, T, dt, stream, nu=None):
@@ -254,16 +263,7 @@ def simulate_bessel_a(x0, k: float, T: float, dt: float, stream: RngStream) -> P
     MultiplicityA(k)
     if math.isinf(k):
         return _frozen_as_path("a", x0, T, dt, stream)
-    x_start = _em_start(x0, CHAMBER_A, 0.0, dt)
-    rng = stream.generator()
-
-    def gap_of(x):
-        return _pair_gap(x)
-
-    times, states, diag = _em_path(
-        x_start, drift_a, 1.0 / math.sqrt(k), CHAMBER_A, T, dt, rng, gap_of, min(1.0, k)
-    )
-    return PathSample(CHAMBER_A, times, states, stream.seed, stream.replica, diagnostics=diag)
+    return _em_sample(x0, drift_a, CHAMBER_A, T, dt, stream, k)
 
 
 def simulate_bessel_b(x0, nu: float, beta: float, T: float, dt: float, stream: RngStream) -> PathSample:
@@ -273,28 +273,17 @@ def simulate_bessel_b(x0, nu: float, beta: float, T: float, dt: float, stream: R
     MultiplicityB(nu, beta)
     if math.isinf(beta):
         return _frozen_as_path("b", x0, T, dt, stream, nu=nu)
-    x_start = _em_start(x0, CHAMBER_B, nu, dt)
-    rng = stream.generator()
+    return _em_sample(x0, lambda y: drift_b(y, nu), CHAMBER_B, T, dt, stream, beta, nu)
 
-    def gap_of(x):
-        g = _pair_gap(x)
-        if nu > 0:
-            g = min(g, float(x[-1]))
-        return g
 
+def _em_sample(x0, drift, chamber, T, dt, stream, coupling, nu=0.0):
+    """Seeded Euler-Maruyama path at coupling k (type A) or beta (type B)."""
+    x_start = _em_start(x0, chamber, nu, dt)
     times, states, diag = _em_path(
-        x_start,
-        lambda y: drift_b(y, nu),
-        1.0 / math.sqrt(beta),
-        CHAMBER_B,
-        T,
-        dt,
-        rng,
-        gap_of,
-        min(1.0, beta),
-        nu=nu,
+        x_start, drift, 1.0 / math.sqrt(coupling), chamber, T, dt, stream.generator(),
+        min(1.0, coupling), nu,
     )
-    return PathSample(CHAMBER_B, times, states, stream.seed, stream.replica, diagnostics=diag)
+    return PathSample(chamber, times, states, stream.seed, stream.replica, diagnostics=diag)
 
 
 def _em_start(x0, chamber, nu, dt):
@@ -344,20 +333,7 @@ def simulate_bessel_ou(
             CHAMBER_A, grid, states, stream.seed, stream.replica, diagnostics={"frozen": True}
         )
     if mode == "direct" or lam == 0.0:
-        x_start = _em_start(x0, CHAMBER_A, 0.0, dt)
-        rng = stream.generator()
-        times, states, diag = _em_path(
-            x_start,
-            lambda y: drift_a(y) - lam * y,
-            1.0 / math.sqrt(k),
-            CHAMBER_A,
-            T,
-            dt,
-            rng,
-            _pair_gap,
-            min(1.0, k),
-        )
-        return PathSample(CHAMBER_A, times, states, stream.seed, stream.replica, diagnostics=diag)
+        return _em_sample(x0, lambda y: drift_a(y) - lam * y, CHAMBER_A, T, dt, stream, k)
     # transform mode: record the lam = 0 path on the warped grid.
     grid = _record_grid(T, dt)
     warped = (np.expm1(2.0 * lam * grid) / (2.0 * lam)) if lam != 0 else grid
@@ -366,19 +342,19 @@ def simulate_bessel_ou(
     states = np.empty((grid.size, x_start.size))
     x = x_start.copy()
     states[0] = x
-    diag_all = {"max_violation": 0.0, "min_gap": np.inf}
+    diag_all = {"max_violation": 0.0, "min_gap": np.inf} | dict.fromkeys(_EM_COUNTERS, 0)
     for i in range(1, grid.size):
         span = warped[i] - warped[i - 1]
         _, seg, diag = _em_path(
-            x, drift_a, 1.0 / math.sqrt(k), CHAMBER_A, span, span, rng, _pair_gap, min(1.0, k)
+            x, drift_a, 1.0 / math.sqrt(k), CHAMBER_A, span, span, rng, min(1.0, k)
         )
         x = seg[-1]
         states[i] = math.exp(-lam * grid[i]) * x
         diag_all["max_violation"] = max(diag_all["max_violation"], diag["max_violation"])
         diag_all["min_gap"] = min(diag_all["min_gap"], diag["min_gap"])
-    return PathSample(
-        CHAMBER_A, grid, states, stream.seed, stream.replica, diagnostics=diag_all
-    )
+        for key in _EM_COUNTERS:
+            diag_all[key] += diag[key]
+    return PathSample(CHAMBER_A, grid, states, stream.seed, stream.replica, diagnostics=diag_all)
 
 
 def dunkl_jump_rates(x, nu: float, include_swaps: bool = True):
@@ -431,16 +407,16 @@ def _jump_blocks(v, nu, skip_swaps):
     blocks = []
     if nu > 0:
         blocks.append(("flip", nu / (2.0 * v * v)))
-    sums = v[iu] + v[ju]
-    blocks.append(
-        ("sign_swap", np.where(np.abs(sums) > _JUMP_EXCLUSION, 1.0 / (sums * sums), 0.0))
-    )
+    blocks.append(("sign_swap", _excluded_inverse_square(v[iu] + v[ju])))
     if not skip_swaps:
-        diffs = v[iu] - v[ju]
-        blocks.append(
-            ("swap", np.where(np.abs(diffs) > _JUMP_EXCLUSION, 1.0 / (diffs * diffs), 0.0))
-        )
+        blocks.append(("swap", _excluded_inverse_square(v[iu] - v[ju])))
     return blocks
+
+
+def _excluded_inverse_square(a):
+    """1/a^2, and 0 where |a| is within the exclusion threshold (never divided)."""
+    sq = a * a
+    return np.divide(1.0, sq, out=np.zeros_like(sq), where=np.abs(a) > _JUMP_EXCLUSION)
 
 
 def _next_jump(v, nu, skip_swaps, rng, window):
@@ -517,6 +493,11 @@ def simulate_dunkl_b(
     jump_log = []
 
     if math.isinf(beta):
+        if nu > 0 and np.any(x0 == 0.0):
+            raise ValueError(
+                "frozen dunkl-b with nu > 0 needs a start without zero coordinates: "
+                "the flip rate nu/(2x^2) is infinite at t = 0"
+            )
         # Deterministic envelope of |coordinates| on a grid fine enough for
         # linear interpolation of the jump rates.
         n_fine = max(times.size - 1, min(4096, max(256, int(round(T / dt)))))
@@ -595,7 +576,7 @@ def simulate_dunkl_b(
             cap = max(4.0 * noise, 0.5 * g) if g > 0 else 4.0 * noise
             x = x + _tamed_increment(drift_b(x, nu), h, cap) + noise * rng.standard_normal(x.size)
             if refl is not None:
-                x = _apply_reflection_array(x, refl)
+                x = apply_reflection(ChamberPoint(x, FULL_SPACE), refl).coords
                 jump_log.append((t + h, refl))
             t += h
         states[idx] = x
@@ -608,17 +589,6 @@ def simulate_dunkl_b(
         jump_log=jump_log,
         diagnostics={},
     )
-
-
-def _apply_reflection_array(x, refl: Reflection):
-    x = x.copy()
-    if refl.kind == "flip":
-        x[refl.i] = -x[refl.i]
-    elif refl.kind == "swap":
-        x[refl.i], x[refl.j] = x[refl.j], x[refl.i]
-    else:
-        x[refl.i], x[refl.j] = -x[refl.j], -x[refl.i]
-    return x
 
 
 def _apply_to_overlay(signs, slots, refl: Reflection):

@@ -23,6 +23,8 @@ from besselsim.harness import (
 )
 from besselsim.frozen import ou_transform_frozen, solve_frozen
 from besselsim.moments import (
+    finite_size_moments_a,
+    finite_size_moments_b,
     limit_moment_polys_a,
     limit_moment_polys_b,
     limit_moment_polys_dunkl,
@@ -224,55 +226,6 @@ def _moment_band_check(means, stderrs, ref, L, rel=0.05, scale_ref=None):
     return rows
 
 
-def _finite_size_a(k, L, n):
-    """E S_{N,l}(t) = c_l(t) + d_l(t)/N + O(1/N^2) for the delta_0 start.
-
-    The 1/N hierarchy follows from the exact finite-N moment dynamics:
-    d_l' = (l/2)[(1-l) c_{l-2} + sum_j (c_{l-2-j} d_j + c_j d_{l-2-j})]
-           + l(l-1)/(2k) c_{l-2},  d_l(0) = 0.
-    Returned as exact-rational polynomials evaluated at t = 1.
-    """
-    from besselsim.moments import TPoly
-
-    c = limit_moment_polys_a([1] + [0] * L, L)
-    d = [TPoly([0]) for _ in range(L + 1)]
-    for l in range(2, L + 1):
-        s = TPoly([0])
-        for j in range(l - 1):
-            s = s + c[l - 2 - j] * d[j] + c[j] * d[l - 2 - j]
-        integrand = (
-            Fraction(l, 2) * ((1 - l) * c[l - 2] + s)
-            + Fraction(l * (l - 1), 2) / Fraction(k) * c[l - 2]
-        )
-        d[l] = integrand.integrate()
-    return [float(c[l](1)) + float(d[l](1)) / n for l in range(L + 1)]
-
-
-def _finite_size_b(nu0, beta, L, n, t):
-    """Squared-side E S_{N,l}(t) = c_l + e_l/N + O(1/N^2), delta_0 start.
-
-    From the finite-N drift with nu replaced by nu + (2l-1)/(2 beta):
-    e_l' = l[((2l-1)/(2 beta) - l) c_{l-1} + (2 + nu0) e_{l-1}
-           + sum_{j=1}^{l-2} (c_{l-1-j} e_j + c_j e_{l-1-j})].
-    """
-    from besselsim.moments import TPoly
-
-    c = limit_moment_polys_b([1] + [0] * L, Fraction(nu0), L)
-    e = [TPoly([0]) for _ in range(L + 1)]
-    for l in range(1, L + 1):
-        s = TPoly([0])
-        for j in range(1, l - 1):
-            s = s + c[l - 1 - j] * e[j] + c[j] * e[l - 1 - j]
-        integrand = l * (
-            (Fraction(2 * l - 1, 2) / Fraction(beta) - l) * c[l - 1]
-            + (2 + Fraction(nu0)) * e[l - 1]
-            + s
-        )
-        e[l] = integrand.integrate()
-    tt = Fraction(t)
-    return [float(c[l](tt)) + float(e[l](tt)) / n for l in range(L + 1)]
-
-
 def test_criterion_06_type_a_sde_limit():
     # The raw criterion bands sit below the true finite-size offsets at
     # N = 100, l = 6 (exactly computable: E S_6(1; k=1/2) = 5 + 22/N),
@@ -288,7 +241,7 @@ def test_criterion_06_type_a_sde_limit():
         for r in range(reps):
             p = simulate_bessel_a(np.zeros(n), k, t, 0.005, RngStream(60420, r))
             samples[r] = EmpiricalMeasure.from_point(p.states[-1]).moments(L)
-        ref = np.array(_finite_size_a(k, L, n))
+        ref = np.array(finite_size_moments_a(k, L, n, t))
         per_k[k] = (
             samples.mean(axis=0),
             samples.std(axis=0, ddof=1) / math.sqrt(reps),
@@ -332,7 +285,7 @@ def test_criterion_07_type_b_sde_limit():
             samples[r] = EmpiricalMeasure.from_point(p.states[-1], SCALE_SQRT_2N).squared().moments(L)
         means = samples.mean(axis=0)
         ses = samples.std(axis=0, ddof=1) / math.sqrt(reps)
-        ref = np.array(_finite_size_b(1, beta, L, n, t))
+        ref = np.array(finite_size_moments_b(1, beta, L, n, t))
         for l, gap, band in _moment_band_check(means, ses, ref, L, scale_ref=limit):
             if gap > band:
                 ok = False

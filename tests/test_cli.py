@@ -107,6 +107,13 @@ def test_simulate_rejects_bad_start_and_record(tmp_path, extra, message):
     assert not (tmp_path / "run").exists()
 
 
+def test_simulate_frozen_dunkl_zero_start_exits_with_message(tmp_path):
+    argv = ["simulate", "--system", "dunkl-b", "--nu", "1", "--beta", "inf", "--n", "4"]
+    with pytest.raises(SystemExit, match=r"flip rate nu/\(2x\^2\) is infinite at t = 0"):
+        main(argv + ["--t", "0.1", "--dt", "0.02", "--out", str(tmp_path / "run")])
+    assert not (tmp_path / "run").exists()
+
+
 def test_limit_moments_subcommand(tmp_path):
     out = tmp_path / "m.csv"
     rc = main(

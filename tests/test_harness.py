@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from besselsim import freeprob as fp
+from besselsim import harness
 from besselsim.chambers import CHAMBER_A, CHAMBER_B
 from besselsim.harness import (
     SCALE_SQRT_2N,
@@ -17,6 +18,7 @@ from besselsim.harness import (
     write_report,
 )
 from besselsim.frozen import solve_frozen
+from besselsim.moments import finite_size_moments_a, finite_size_moments_b
 from besselsim.zeros import hermite_zeros
 
 
@@ -200,3 +202,24 @@ def test_ou_preset_small():
         }
     )
     assert any("transform-vs-direct" in r["metric"] for r in rep.rows)
+
+
+def test_sde_presets_use_finite_n_references_for_zero_starts(monkeypatch):
+    refs, limits = {}, {}
+
+    def capture(name, cfg, run_replica, ref, limit, L, n, t):
+        refs[name], limits[name] = ref, limit
+        return [], np.array(ref), np.zeros(L + 1)
+
+    monkeypatch.setattr(harness, "_sde_moment_rows", capture)
+    rows = run_experiment({"preset": "bessel-a-sde"}).rows
+    # E S_6(1) = 5 + 22/N at k = 1/2, N = 100, against the limit c_6 = 5
+    assert refs["bessel-a-sde[k=0.5]"][6] == 5 + 22 / 100
+    assert limits["bessel-a-sde[k=0.5]"][6] == 5.0  # bands stay 5% of the limit
+    assert refs["bessel-a-sde[k=4.0]"][6] == finite_size_moments_a(4.0, 6, 100, 1.0)[6]
+    # k-pairs compare offsets from the references, which coincide here
+    assert rows and all(r["value"] == 0.0 for r in rows)
+    run_experiment({"preset": "bessel-b-sde"})
+    assert list(refs["bessel-b-sde[beta=0.5]"]) == finite_size_moments_b(1.0, 0.5, 6, 100, 1.0)
+    run_experiment({"preset": "bessel-a-sde", "start": "semicircle:2", "k_list": [1.0]})
+    assert refs["bessel-a-sde[k=1.0]"][2] == pytest.approx(1.0 + 1.0, rel=0.02)

@@ -1,11 +1,14 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 import besselsim.stochastic as st
-from besselsim.chambers import CHAMBER_A, CHAMBER_B, FULL_SPACE, Reflection
-from besselsim.frozen import solve_frozen
+import warnings
+
+from besselsim.chambers import CHAMBER_A, CHAMBER_B, FULL_SPACE, Reflection, project_to_chamber
+from besselsim.frozen import IntegrationError, drift_a, drift_b, solve_frozen
 from besselsim.stochastic import (
     MultiplicityA,
     MultiplicityB,
@@ -282,3 +285,178 @@ def test_dunkl_envelope_reuse_is_bitwise():
     assert np.array_equal(warm[1].states, cold.states)
     assert warm[1].jump_log == cold.jump_log
     assert warm[1].diagnostics == cold.diagnostics
+
+
+def _scalar_em_path(x0, drift, sigma, chamber, T, dt, rng, gap_scale, nu=0.0):
+    """Reference copy of the scalar Euler-Maruyama sub-step loop.
+
+    Hot pairs come from a Python double loop and a stable sort by span,
+    every flow is applied one pair at a time on ndarray scalars, and every
+    sub-step projects through ``project_to_chamber``.  Counters are added
+    the way ``_em_path`` defines them.
+    """
+    wall = chamber == CHAMBER_B and nu > 0
+
+    def gap_of(x):
+        g = float(np.min(x[:-1] - x[1:])) if x.size > 1 else np.inf
+        return min(g, float(x[-1])) if wall else g
+
+    def hot_pairs(x, threshold):
+        x = x.tolist()
+        out = []
+        for i in range(len(x) - 1):
+            for j in range(i + 1, len(x)):
+                span = x[i] - x[j]
+                if span >= threshold:
+                    break
+                out.append((span, i, j))
+        out.sort(key=lambda p: p[0])
+        return out
+
+    times = st._record_grid(T, dt)
+    x = x0.copy()
+    n = x.size
+    states = np.empty((times.size, n))
+    states[0] = x
+    diag = dict(max_violation=0.0, min_gap=gap_of(x), substeps=0, floor_substeps=0,
+                pair_flows=0, wall_flows=0, clipped=0)
+    h_floor = dt / 8.0
+    for idx in range(1, times.size):
+        t_target, t = times[idx], times[idx - 1]
+        while t_target - t > 1e-12 * max(1.0, T):
+            g = gap_of(x)
+            diag["min_gap"] = min(diag["min_gap"], g)
+            h = min(dt, t_target - t, max(g * g * gap_scale, h_floor))
+            if h <= 0.0 or t + h == t:
+                raise IntegrationError("step size underflow", t, h)
+            diag["substeps"] += 1
+            diag["floor_substeps"] += int(g * g * gap_scale < h_floor)
+            noise_scale, root_h = sigma * math.sqrt(h), math.sqrt(h)
+            b = drift(x)
+            wall_hot = []
+            if wall:
+                for i in range(n - 1, -1, -1):
+                    if x[i] >= 4.0 * math.sqrt(nu * h):
+                        break
+                    wall_hot.append(i)
+                    b[i] -= nu / x[i]
+            hot = hot_pairs(x, 4.0 * root_h) if n > 1 else []
+            for u, i, j in hot:
+                b[i] -= 1.0 / u
+                b[j] += 1.0 / u
+            d = x[:-1] - x[1:]
+            near = np.minimum(np.concatenate([[np.inf], d]), np.concatenate([d, [np.inf]]))
+            cap = np.maximum(np.maximum(16.0 * noise_scale, 4.0 * root_h), 0.5 * near)
+            inc = np.clip(h * b, -cap, cap)
+            diag["clipped"] += int(np.count_nonzero(inc != h * b))
+            x_raw = x + inc
+            for _, i, j in hot:
+                c = 0.5 * (x_raw[i] + x_raw[j])
+                u = x_raw[i] - x_raw[j]
+                u_new = math.sqrt(u * u + 4.0 * h)
+                x_raw[i] = c + 0.5 * u_new
+                x_raw[j] = c - 0.5 * u_new
+            for i in wall_hot:
+                x_raw[i] = math.sqrt(max(x_raw[i], 0.0) ** 2 + 2.0 * nu * h)
+            diag["pair_flows"] += len(hot)
+            diag["wall_flows"] += len(wall_hot)
+            if sigma > 0:
+                x_raw += noise_scale * rng.standard_normal(n)
+            if chamber == CHAMBER_A:
+                viol = float(np.max(np.diff(x_raw), initial=0.0))
+            else:
+                viol = max(
+                    float(np.max(np.diff(np.abs(x_raw)), initial=0.0)),
+                    float(max(0.0, -np.min(x_raw))),
+                )
+            diag["max_violation"] = max(diag["max_violation"], viol)
+            x = project_to_chamber(x_raw, chamber).coords
+            t += h
+        states[idx] = x
+    return states, diag
+
+
+@pytest.mark.parametrize("case", ["a-zero-clustered", "b-wall", "ou-direct", "a-clipped"])
+def test_em_path_bitwise_equals_scalar_loop(case):
+    nu, chamber, replicas = 0.0, CHAMBER_A, 1
+    if case == "a-zero-clustered":
+        k, x0, T, dt = 0.5, np.zeros(40), 0.3, 0.005
+        run = lambda s: simulate_bessel_a(x0, k, T, dt, s)
+        drift, sigma, scale = drift_a, 1 / math.sqrt(k), min(1.0, k)
+    elif case == "b-wall":
+        # Many short wall-heavy paths: the wall flow's float power differs
+        # from v*v after the square root on about 1 in 4000 wall flows.
+        nu, beta, x0, T, dt, chamber, replicas = 10.0, 2.0, np.zeros(10), 0.2, 0.1, CHAMBER_B, 160
+        run = lambda s: simulate_bessel_b(x0, nu, beta, T, dt, s)
+        drift, sigma, scale = (lambda y: drift_b(y, nu)), 1 / math.sqrt(beta), min(1.0, beta)
+    elif case == "ou-direct":
+        k, lam, x0, T, dt = 1.0, 0.7, np.linspace(2.0, -2.0, 12), 0.5, 0.005
+        run = lambda s: simulate_bessel_ou(x0, k, lam, T, dt, s, mode="direct")
+        drift, sigma, scale = (lambda y: drift_a(y) - lam * y), 1 / math.sqrt(k), min(1.0, k)
+    else:
+        # a particle beside a dense cluster: its residual drift exceeds the cap
+        k, T, dt = 100.0, 0.08, 0.08
+        x0 = np.concatenate([[0.0], -0.41 - 0.01 * np.arange(60)])
+        run = lambda s: simulate_bessel_a(x0, k, T, dt, s)
+        drift, sigma, scale = drift_a, 1 / math.sqrt(k), min(1.0, k)
+    start = st._em_start(x0, chamber, nu, dt)
+    totals = dict.fromkeys(st._EM_COUNTERS, 0)
+    for r in range(replicas):
+        stream = RngStream(4242, r)
+        path = run(stream)
+        states, diag = _scalar_em_path(
+            start, drift, sigma, chamber, T, dt, stream.generator(), scale, nu
+        )
+        assert states.tobytes() == path.states.tobytes()
+        assert diag == path.diagnostics
+        for key in totals:
+            totals[key] += diag[key]
+    assert totals["pair_flows"] > 0
+    assert totals["wall_flows"] > 1000 or case != "b-wall"
+    assert totals["clipped"] > 0 or case != "a-clipped"
+
+
+def test_em_counters_present_and_reproducible():
+    x0 = np.zeros(12)
+    keys = {"max_violation", "min_gap", "substeps", "floor_substeps", "pair_flows",
+            "wall_flows", "clipped"}
+    runs = [
+        lambda s: simulate_bessel_a(x0, 0.5, 0.2, 0.01, s),
+        lambda s: simulate_bessel_b(x0, 12.0, 0.5, 0.2, 0.01, s),
+        lambda s: simulate_bessel_ou(x0, 1.0, 0.7, 0.2, 0.01, s, mode="direct"),
+        lambda s: simulate_bessel_ou(x0, 1.0, 0.7, 0.2, 0.01, s, mode="transform"),
+    ]
+    for run in runs:
+        first, again = run(RngStream(31, 2)), run(RngStream(31, 2))
+        assert set(first.diagnostics) == keys
+        assert first.diagnostics == again.diagnostics
+        d = first.diagnostics
+        assert all(type(d[key]) is int for key in st._EM_COUNTERS)
+        assert d["substeps"] >= 20 and 0 <= d["floor_substeps"] <= d["substeps"]
+    # transform mode sums its segments' counters: one segment per record step
+    p = simulate_bessel_ou(x0, 1.0, 0.7, 0.2, 0.01, RngStream(31, 2), mode="transform")
+    assert p.diagnostics["substeps"] >= p.times.size - 1
+
+
+def test_frozen_dunkl_zero_start_rejected_quickly():
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=r"nu/\(2x\^2\) is infinite at t = 0"):
+        simulate_dunkl_b(np.zeros(4), 1.0, math.inf, 0.1, 0.02, RngStream(1, 0))
+    with pytest.raises(ValueError, match="infinite at t = 0"):
+        simulate_dunkl_b(np.array([2.0, 0.0, -1.0]), 0.5, math.inf, 0.1, 0.02, RngStream(1, 0))
+    assert time.perf_counter() - t0 < 1.0
+    # nu = 0 has no flip rate, so a zero start stays valid
+    p = simulate_dunkl_b(np.zeros(4), 0.0, math.inf, 0.1, 0.02, RngStream(1, 0))
+    assert np.all(np.isfinite(p.states))
+
+
+def test_jump_rates_at_opposite_and_zero_coordinates_do_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        simulate_dunkl_b(np.zeros(4), 0.0, math.inf, 0.1, 0.02, RngStream(1, 0))
+        x0 = np.array([1.0, -1.0, 0.5, 0.0])
+        p = simulate_dunkl_b(x0, 0.0, math.inf, 0.1, 0.02, RngStream(1, 0), skip_swaps=False)
+        blocks = dict(st._jump_blocks(x0, 0.0, skip_swaps=False))
+    assert blocks["sign_swap"][0] == 0.0  # x_0 + x_1 = 0 is excluded
+    assert blocks["swap"][0] == 0.25
+    assert np.all(np.isfinite(p.states))
