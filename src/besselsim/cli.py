@@ -225,7 +225,12 @@ def _cmd_limit_law(args):
         else:
             from .freeprob import stieltjes_invert
 
-            dens = stieltjes_invert(g, grid).density
+            inv = stieltjes_invert(g, grid)
+            dens = inv.density
+            print(
+                f"inversion: {int(inv.diverged.sum())} of {grid.size} points flagged, "
+                f"clipped negative mass {inv.clip_mass:.3g}, total mass {inv.mass():.6g}"
+            )
         lines = ["x,density"] + [f"{x:.12g},{d:.17g}" for x, d in zip(grid, dens)]
         _write_lines(args.out, lines)
     print(f"limit-law {args.kind} -> {args.out}")

@@ -20,6 +20,7 @@ and never form half-integer moments.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +30,7 @@ import numpy as np
 from scipy import integrate
 from scipy.linalg import eigh_tridiagonal
 
-from .moments import catalan, limit_moment_polys_dunkl
+from .moments import catalan
 
 __all__ = [
     "FreeProbDomainError",
@@ -200,34 +201,33 @@ def quartercircle_moments(L: int) -> tuple:
 def _jacobi_from_moments(m, K):
     """Recurrence coefficients (alpha, beta) via the Chebyshev algorithm.
 
-    Shrinks K if the moment sequence loses positivity at the requested
-    depth (finite-precision effect for long float sequences).
+    Stops at the first level k whose beta_k is not positive (the moment
+    sequence loses positivity there, a finite-precision effect for long
+    float sequences) and returns the k coefficients before it.  Level k's
+    values do not depend on the requested depth, so this is the rule a
+    restart at depth k would build.
     """
     m = [float(v) for v in m]
     K = min(K, len(m) // 2)
-    while K >= 1:
-        sigma_prev = None
-        sigma = list(m)
-        alpha = [m[1] / m[0]]
-        beta = [m[0]]
-        ok = True
-        for k in range(1, K):
-            new = [0.0] * len(m)
-            for l in range(k, 2 * K - k):
-                s = sigma[l + 1] - alpha[k - 1] * sigma[l]
-                if sigma_prev is not None:
-                    s -= beta[k - 1] * sigma_prev[l]
-                new[l] = s
-            if new[k] <= 0:
-                ok = False
-                break
-            alpha.append(new[k + 1] / new[k] - sigma[k] / sigma[k - 1])
-            beta.append(new[k] / sigma[k - 1])
-            sigma_prev, sigma = sigma, new
-        if ok:
-            return np.array(alpha), np.array(beta)
-        K -= 1
-    raise FreeProbDomainError("moment sequence admits no positive quadrature rule")
+    if K < 1:
+        raise FreeProbDomainError("moment sequence admits no positive quadrature rule")
+    sigma_prev = None
+    sigma = m
+    alpha = [m[1] / m[0]]
+    beta = [m[0]]
+    for k in range(1, K):
+        new = [0.0] * len(m)
+        for l in range(k, 2 * K - k):
+            s = sigma[l + 1] - alpha[k - 1] * sigma[l]
+            if sigma_prev is not None:
+                s -= beta[k - 1] * sigma_prev[l]
+            new[l] = s
+        if new[k] <= 0:
+            break
+        alpha.append(new[k + 1] / new[k] - sigma[k] / sigma[k - 1])
+        beta.append(new[k] / sigma[k - 1])
+        sigma_prev, sigma = sigma, new
+    return np.array(alpha), np.array(beta)
 
 
 def atoms_from_moments(m, K: int | None = None):
@@ -519,6 +519,8 @@ def limit_law_a(mu0, t: float, L: int = 24) -> LimitLaw:
         return mu0 if isinstance(mu0, LimitLaw) else moment_law(m0)
     if all(v == 0 for v in m0[1:]):
         return semicircle(2.0 * math.sqrt(t))
+    if isinstance(mu0, LimitLaw) and mu0.kind == "semicircle":
+        return semicircle(math.sqrt(mu0.params["r"] ** 2 + 4.0 * t))
     mom = free_add(semicircle_moments(4.0 * t, L), m0, L)
     law = moment_law([float(v) for v in mom])
     law.params.update({"composite": "free-conv-a", "t": t})
@@ -709,7 +711,7 @@ def stieltjes_invert(g, grid, eps_schedule=(1e-1, 1e-2, 1e-3, 1e-4)) -> Spectral
             diverged[i] = False
 
     negative = np.minimum(f_last, 0.0)
-    clip_mass = float(-np.trapezoid(negative, grid))
+    clip_mass = abs(float(np.trapezoid(negative, grid)))
     return SpectralDensity(grid, np.maximum(f_last, 0.0), clip_mass, diverged, atoms)
 
 
@@ -740,17 +742,121 @@ def _even_law_inverse_g(even_law: LimitLaw, target: complex, guess: complex) -> 
     raise FreeProbDomainError("Newton inversion of the even-part transform failed")
 
 
-def _dunkl_even_series_factory(mu0, nu0, t, L):
-    """G_even(s, z) evaluator from the exact even-chain polynomials."""
-    m0 = _coerce_moments(mu0, 2 * L)
-    polys = limit_moment_polys_dunkl([float(v) for v in m0], float(nu0), 2 * L)
+def _squared_start_transform(mu_even: LimitLaw, m0):
+    """w -> (G_Q0(w), G_Q0'(w)) for Q0, the law of x^2 under the start law.
 
-    def g_even(s, z):
-        sq = [polys[2 * l](s) for l in range(L + 1)]
-        nodes, weights = atoms_from_moments(sq)
-        return z * complex(np.sum(weights / (z * z - nodes)))
+    Closed form when the even part is a semicircle of radius r (then Q0 is
+    MP(1, r^2/4)); otherwise the Gauss rule of the squared even moments.
+    """
+    if mu_even.kind == "semicircle" and mu_even.params["r"] > 0:
+        r2 = mu_even.params["r"] ** 2
 
-    return g_even
+        def g_q0(w):
+            # G = 2 (1 - root)/r^2 without the cancellation; cut on (0, r^2]
+            root = cmath.sqrt(1.0 - r2 / w)
+            return 2.0 / (w * (1.0 + root)), -1.0 / (w * w * root)
+
+        return g_q0
+    nodes, weights = atoms_from_moments(square_moments(m0))
+
+    def g_q0(w):
+        d = 1.0 / (w - nodes)
+        return complex(np.sum(weights * d)), complex(-np.sum(weights * d * d))
+
+    return g_q0
+
+
+def _characteristic_end(g_q0, nu0, t, w0):
+    """w(t) = z(t)^2 on the characteristic with foot w0 = z0^2, dw(t)/dw0, and q0.
+
+    Along dz/ds = nu0/z + 2 G_even(s, z) the even PDE gives q = G_even/z with
+    dq/ds = -2 q^2 and w = z^2 with dw/ds = 2 nu0 + 4 w q, so
+    q(s) = q0/a(s) and w(s) = a(s)^2 w0 + 2 nu0 s a(s), a(s) = 1 + 2 s q0.
+    """
+    q0, dq0 = g_q0(w0)
+    a = 1.0 + 2.0 * t * q0
+    w = a * a * w0 + 2.0 * nu0 * t * a
+    return w, a * a + 4.0 * t * dq0 * (a * w0 + nu0 * t), q0
+
+
+def _foot_point_valid(w0, g_q0, nu0, t) -> bool:
+    """Whether the characteristic from w0 = z0^2 stays off [0, inf) for s in [0, t].
+
+    Its square w(s) = w0 + b s + c s^2 is a quadratic in s, so this checks
+    exactly that the closed-form path keeps to the open half-plane of its
+    foot point, which singles out the true foot point among the roots of
+    w(t) = z^2.
+    """
+    if not cmath.isfinite(w0) or (w0.imag == 0 and w0.real >= 0):
+        return False
+    q0 = g_q0(w0)[0]
+    b = 4.0 * q0 * w0 + 2.0 * nu0
+    c = 4.0 * q0 * (q0 * w0 + nu0)
+    A, B, C = c.imag, b.imag, w0.imag
+    if A == 0.0:
+        crossings = [-C / B] if B != 0.0 else []
+    else:
+        disc = B * B - 4.0 * A * C
+        crossings = [] if disc < 0 else [(-B + sgn * math.sqrt(disc)) / (2.0 * A) for sgn in (1, -1)]
+    return all((w0 + b * s + c * s * s).real < 0 for s in crossings if 0.0 <= s <= t)
+
+
+def _foot_newton(g_q0, nu0, t, target, w0):
+    """Newton on w(t; w0) = target from w0; None when it stalls."""
+    for _ in range(40):
+        wt, dw, _ = _characteristic_end(g_q0, nu0, t, w0)
+        if dw == 0:
+            return None
+        step = (wt - target) / dw
+        w0 = w0 - step
+        if not cmath.isfinite(step):
+            return None
+        if abs(step) <= 1e-13 * max(1.0, abs(w0)):
+            return w0
+    return None
+
+
+def _dunkl_foot_point(g_q0, nu0: float, t: float, z: complex):
+    """Foot point z0 and q0 = G_Q0(z0^2) of the characteristic through z (Im z > 0).
+
+    Solves w(t; w0) = z^2 for w0 = z0^2 by Newton, continued down the
+    vertical segment from x + iY (Y >= 4) to z; a step is halved when
+    Newton stalls or lands on a root whose path leaves the half-plane.
+    """
+    top = max(4.0, z.imag)
+    y, h = top, top - z.imag
+    zc = complex(z.real, top)
+    # far from the support G_even ~ 1/z, so w(t) ~ w0 + (4 + 2 nu0) t
+    w0 = _foot_newton(g_q0, nu0, t, zc * zc, zc * zc - (4.0 + 2.0 * nu0) * t)
+    if w0 is None or not _foot_point_valid(w0, g_q0, nu0, t):
+        raise FreeProbDomainError(f"no characteristic foot point found above z = {z}")
+    while y > z.imag:
+        y_next = max(z.imag, y - h)
+        w = _foot_newton(g_q0, nu0, t, complex(z.real, y_next) ** 2, w0)
+        if w is not None and _foot_point_valid(w, g_q0, nu0, t):
+            w0, y, h = w, y_next, 2.0 * h
+        elif h < 1e-12 * top:
+            raise FreeProbDomainError(f"characteristic foot-point continuation stalled at z = {z}")
+        else:
+            h /= 2.0
+    wt, _, q0 = _characteristic_end(g_q0, nu0, t, w0)
+    if abs(wt - z * z) > 1e-12 * max(1.0, abs(z) ** 2):
+        raise FreeProbDomainError(f"characteristic foot point off by {abs(wt - z * z):.3g} at z = {z}")
+    z0 = cmath.sqrt(w0)
+    return (z0 if z0.imag > 0 else -z0), q0
+
+
+def _dunkl_characteristic_g(mu0_law: LimitLaw, g_q0, nu0: float, t: float, z: complex):
+    """(G_even, G_odd) at (t, z), Im z > 0, from the foot point of the characteristic.
+
+    G_even(t, z) = z q(t) = z q0/(1 + 2 t q0), and the odd part is constant
+    along the characteristic: G_odd(t, z) = (G_mu0(z0) + G_mu0(-z0))/2.
+    """
+    z0, q0 = _dunkl_foot_point(g_q0, nu0, t, z)
+    if z0.imag * z.imag <= 0:
+        raise FreeProbDomainError("characteristic crossed the real axis")
+    g_even = z * q0 / (1.0 + 2.0 * t * q0)
+    return g_even, 0.5 * (stieltjes(mu0_law, z0) + stieltjes(mu0_law, -z0))
 
 
 def dunkl_limit_stieltjes(mu0, nu0: float, t: float, z: complex, L: int = 24) -> complex:
@@ -760,7 +866,8 @@ def dunkl_limit_stieltjes(mu0, nu0: float, t: float, z: complex, L: int = 24) ->
     G(t, z) = G_mu0( G_even^{-1}( G_{sc(2 sqrt(2t)) boxplus mu0_even}(z) ) );
     for nu0 > 0 the odd part is constant along the characteristics
     dz/ds = nu0/z + 2 G_even(s, z) of its linear transport equation, which
-    are traced back to s = 0 (they move away from the real axis).
+    are integrated in closed form and traced back to their foot point at
+    s = 0 (they move away from the real axis).
     """
     z = complex(z)
     if z.imag == 0:
@@ -798,26 +905,14 @@ def dunkl_limit_stieltjes(mu0, nu0: float, t: float, z: complex, L: int = 24) ->
             u = u.conjugate()
         return stieltjes(mu0_law, u)
 
-    # nu0 > 0: trace the odd characteristic back to s = 0.
-    from scipy.integrate import solve_ivp
-
-    g_even = _dunkl_even_series_factory(mu0_law, nu0, t, L)
-
-    def rhs(s, y):
-        zz = complex(y[0], y[1])
-        v = nu0 / zz + 2.0 * g_even(s, zz)
-        return [v.real, v.imag]
-
-    sol = solve_ivp(
-        rhs, (t, 0.0), [z.real, z.imag], rtol=1e-9, atol=1e-12, dense_output=False
-    )
-    if not sol.success:
-        raise FreeProbDomainError(f"characteristic integration failed: {sol.message}")
-    z0 = complex(sol.y[0, -1], sol.y[1, -1])
-    if z0.imag * z.imag <= 0:
-        raise FreeProbDomainError("characteristic crossed the real axis")
-    g_odd0 = 0.5 * (stieltjes(mu0_law, z0) + stieltjes(mu0_law, -z0))
-    return g_even(t, z) + g_odd0
+    # nu0 > 0: closed-form characteristics in the upper half-plane, G(conj z) = conj G(z).
+    g_q0 = _squared_start_transform(mu_even, m0)
+    below = z.imag < 0
+    g_even, g_odd = _dunkl_characteristic_g(mu0_law, g_q0, nu0, t, z.conjugate() if below else z)
+    g = g_even + g_odd
+    if not g.imag < 0:
+        raise FreeProbDomainError(f"characteristic route lost the Herglotz sign at z = {z}")
+    return g.conjugate() if below else g
 
 
 def quartercircle_dunkl_density(t: float, x) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -216,3 +217,30 @@ def test_limit_law_b_density_subcommand(tmp_path):
     mp = marchenko_pastur(2.0, 0.5)
     xs = rows[:, 0]
     assert np.allclose(rows[:, 1], 2 * xs * mp.density(xs**2), atol=1e-12)
+
+
+def test_limit_law_dunkl_nu0_density_reports_inversion(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    args = ["limit-law", "--kind", "dunkl", "--mu", "quartercircle", "--nu0", "1", "--t", "0.5"]
+    assert main(args + ["--out", str(out)]) == 0
+    report = re.search(
+        r"inversion: (\d+) of (\d+) points flagged, clipped negative mass (\S+), total mass (\S+)",
+        capsys.readouterr().out,
+    )
+    assert report is not None
+    flagged, points, clipped, mass = report.groups()
+    assert int(flagged) == 0 and int(points) == 401
+    assert float(clipped) < 1e-8 and abs(float(mass) - 1.0) < 1e-3
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (401, 2) and np.all(rows[:, 1] >= 0)
+
+
+def test_limit_law_semicircle_start_is_closed_form(tmp_path):
+    out = tmp_path / "a.csv"
+    args = ["limit-law", "--kind", "a", "--mu", "semicircle:1.5", "--t", "0.7", "--out", str(out)]
+    assert main(args) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    r = math.sqrt(1.5**2 + 4 * 0.7)
+    exact = 2 / (math.pi * r * r) * np.sqrt(np.maximum(r * r - rows[:, 0] ** 2, 0.0))
+    assert np.abs(rows[:, 1] - exact).max() < 1e-12
+    assert abs(np.trapezoid(rows[:, 1], rows[:, 0]) - 1.0) < 1e-3

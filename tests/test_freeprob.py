@@ -139,6 +139,61 @@ def test_square_pushforward_of_semicircle_is_mp():
 
 
 # ---------------------------------------------------------------------------
+# quadrature of a truncated moment sequence
+# ---------------------------------------------------------------------------
+
+
+def _jacobi_by_restarts(m, K):
+    """The Chebyshev algorithm restarted at depth K - 1 on each loss of positivity."""
+    m = [float(v) for v in m]
+    K = min(K, len(m) // 2)
+    while K >= 1:
+        sigma_prev = None
+        sigma = list(m)
+        alpha = [m[1] / m[0]]
+        beta = [m[0]]
+        ok = True
+        for k in range(1, K):
+            new = [0.0] * len(m)
+            for l in range(k, 2 * K - k):
+                s = sigma[l + 1] - alpha[k - 1] * sigma[l]
+                if sigma_prev is not None:
+                    s -= beta[k - 1] * sigma_prev[l]
+                new[l] = s
+            if new[k] <= 0:
+                ok = False
+                break
+            alpha.append(new[k + 1] / new[k] - sigma[k] / sigma[k - 1])
+            beta.append(new[k] / sigma[k - 1])
+            sigma_prev, sigma = sigma, new
+        if ok:
+            return np.array(alpha), np.array(beta)
+        K -= 1
+    raise fp.FreeProbDomainError("moment sequence admits no positive quadrature rule")
+
+
+def test_jacobi_single_pass_bitwise_equals_restarts():
+    rng = np.random.default_rng(2024)
+    shrunk = 0
+    for _ in range(120):
+        n_atoms = int(rng.integers(1, 14))
+        locs = rng.uniform(-3, 3, n_atoms)
+        weights = rng.dirichlet(np.ones(n_atoms))
+        length = int(rng.integers(2, 50))
+        m = [float(np.sum(weights * locs**l)) for l in range(length)]
+        if rng.uniform() < 0.3:  # break positivity at a random depth
+            m = [v * (1 + rng.normal(0, 1e-3)) for v in m]
+        for K in (1, 3, 7, 12, 25):
+            a1, b1 = fp._jacobi_from_moments(m, K)
+            a2, b2 = _jacobi_by_restarts(m, K)
+            assert a1.tobytes() == a2.tobytes() and b1.tobytes() == b2.tobytes()
+            shrunk += a1.size < min(K, length // 2)
+    assert shrunk > 50  # the shrinking branch is exercised
+    with pytest.raises(fp.FreeProbDomainError):
+        fp._jacobi_from_moments([1.0], 3)
+
+
+# ---------------------------------------------------------------------------
 # laws and limit-law constructors
 # ---------------------------------------------------------------------------
 
@@ -167,6 +222,7 @@ def test_limit_law_a_cases():
     assert law.kind == "semicircle" and law.params["r"] == pytest.approx(2 * math.sqrt(0.7))
     # semicircle start: radii add in quadrature
     law = fp.limit_law_a(fp.semicircle(2 * math.sqrt(0.3)), 0.7, L=12)
+    assert law.kind == "semicircle" and law.params["r"] == pytest.approx(2.0, rel=1e-15)
     ref = fp.semicircle_moments(4.0, 12)
     assert np.abs(np.array(law.moments_[:13]) - np.array([float(v) for v in ref])).max() < 1e-10
     # t = 0 returns the start
@@ -320,6 +376,81 @@ def test_dunkl_characteristics_match_series_large_z():
             series = sum(float(ms.values[l]) / z ** (l + 1) for l in range(41))
             g = fp.dunkl_limit_stieltjes(qc, nu0, t, z, L=20)
             assert abs(g - series) < 1e-8
+
+
+def _qc_characteristic_g(nu0):
+    """(t, z) -> (G_even, G_odd) of the quartercircle start by the foot-point route."""
+    qc = fp.quartercircle_law()
+    g_q0 = fp._squared_start_transform(fp.semicircle(2.0), None)
+    return lambda t, z: fp._dunkl_characteristic_g(qc, g_q0, nu0, t, z)
+
+
+def test_dunkl_foot_point_route_at_nu0_zero_equals_composition():
+    # the nu0 > 0 route run at nu0 = 0 is an independent second route to the
+    # closed composition
+    qc = fp.quartercircle_law()
+    g = _qc_characteristic_g(0.0)
+    for t in (0.25, 0.5, 1.0):
+        for z in (-1.5 + 0.5j, -0.5 + 0.5j, 0.5 + 0.5j, 1.5 + 0.5j, 0.3 + 2j, -3 + 0.1j):
+            g_even, g_odd = g(t, z)
+            assert abs(g_even + g_odd - fp.dunkl_limit_stieltjes(qc, 0.0, t, z)) < 1e-12
+
+
+def test_dunkl_foot_point_rejects_roots_whose_path_leaves_the_half_plane():
+    g_q0 = fp._squared_start_transform(fp.semicircle(2.0), None)
+    nu0, t, z = 1.0, 0.5, 1 + 0.5j
+    z0, _ = fp._dunkl_foot_point(g_q0, nu0, t, z)
+    assert z0.imag > z.imag and fp._foot_point_valid(z0 * z0, g_q0, nu0, t)
+    # w(t; w0) = z^2 has another root in the lower half-plane of w
+    spurious = fp._foot_newton(g_q0, nu0, t, z * z, -0.1 - 0.5j)
+    assert abs(fp._characteristic_end(g_q0, nu0, t, spurious)[0] - z * z) < 1e-12
+    assert abs(cmath.sqrt(spurious) ** 2 - z0 * z0) > 0.1
+    assert not fp._foot_point_valid(spurious, g_q0, nu0, t)
+
+
+def test_dunkl_characteristics_far_field_matches_64_term_series():
+    from besselsim.moments import limit_moments_dunkl
+
+    qc = fp.quartercircle_law()
+    t, nu0 = 0.5, 1.0
+    ms = limit_moments_dunkl(list(fp.quartercircle_moments(64)), nu0, t, 64).floats()
+    for a in (0.3, 1.2, 2.5, -0.7, -2.9):
+        z = 5 * cmath.exp(1j * a)
+        series = sum(ms[l] / z ** (l + 1) for l in range(65))
+        assert abs(fp.dunkl_limit_stieltjes(qc, nu0, t, z) - series) < 1e-12
+
+
+def test_dunkl_characteristics_solve_even_and_odd_pdes():
+    # central differences with h = 1e-5: the O(h^2) truncation is ~1e-10 here
+    points = [(0.5, complex(x, 0.5)) for x in (-1.5, -0.5, 0.5, 1.5)]
+    for nu0 in (0.5, 1.0):
+        g = _qc_characteristic_g(nu0)
+        g_even = lambda t, z: g(t, z)[0]  # noqa: E731
+        g_odd = lambda t, z: g(t, z)[1]  # noqa: E731
+        res = fp.pde_residual("dunkl_even", g_even, points, nu0=nu0, h=1e-5)
+        assert res["max_abs"] <= 1e-8
+        res = fp.pde_residual("dunkl_odd", g_odd, points, nu0=nu0, h=1e-5, even_evaluator=g_even)
+        assert res["max_abs"] <= 1e-8
+
+
+def test_dunkl_density_keeps_sign_and_gap_on_401_points():
+    qc = fp.quartercircle_law()
+    values = []
+
+    def g(z):
+        values.append((z, fp.dunkl_limit_stieltjes(qc, 1.0, 0.5, z)))
+        return values[-1][1]
+
+    grid = np.linspace(-4, 4, 401)
+    sd = fp.stieltjes_invert(g, grid)
+    assert len(values) == 4 * grid.size
+    assert all(v.imag < 0 for _, v in values)
+    # conjugate symmetry below the axis
+    z, v = values[123]
+    assert fp.dunkl_limit_stieltjes(qc, 1.0, 0.5, z.conjugate()) == v.conjugate()
+    # nu0 > 0 repels mass from the origin
+    assert sd.density[np.abs(grid) < 0.15].max() < 1e-8
+    assert not sd.diverged.any()
 
 
 def test_dunkl_even_part_agrees_with_b_composite():
