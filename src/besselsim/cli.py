@@ -150,28 +150,56 @@ def _cmd_simulate(args):
     return 0
 
 
+def _csv_moments(spec):
+    """The moments m_0 = 1, m_1, ... of a CSV start, one per row."""
+    try:
+        return list(np.loadtxt(spec, ndmin=1))
+    except (OSError, ValueError) as err:
+        raise SystemExit(f"--mu {spec}: {err}")
+
+
+def _start_law(spec):
+    """Start law named by ``--mu delta0 | quartercircle | semicircle[:R] | FILE.csv``.
+
+    A CSV start becomes the atoms of the Gauss rule of its moments, whose
+    depth K is printed.  Bad input exits with a message naming it.
+    """
+    from .freeprob import Atoms, atom_law, atoms_from_moments, quartercircle_law, semicircle
+
+    name, colon, arg = spec.partition(":")
+    try:
+        if spec == "delta0":
+            return atom_law([0.0])
+        if spec == "quartercircle":
+            return quartercircle_law()
+        if name == "semicircle":
+            return semicircle(float(arg) if colon else 2.0)
+        if spec.endswith(".csv"):
+            law = Atoms(*atoms_from_moments(_csv_moments(spec)))
+            print(f"--mu {spec}: Gauss rule of depth K = {law.locs.size}")
+            return law
+    except ValueError as err:
+        raise SystemExit(f"--mu {spec}: {err}")
+    raise SystemExit(f"--mu {spec}: unknown start measure (delta0 | quartercircle | semicircle:R | FILE.csv)")
+
+
 def _cmd_limit_moments(args):
-    from .freeprob import quartercircle_moments, semicircle_moments
+    from .freeprob import square_moments
     from .moments import limit_moments_a, limit_moments_b, limit_moments_dunkl
 
     L = args.order
-    if args.mu == "delta0":
-        c0 = [1.0] + [0.0] * (2 * L)
-    elif args.mu == "quartercircle":
-        c0 = list(quartercircle_moments(2 * L))
-    elif args.mu.startswith("semicircle"):
-        r = float(args.mu.split(":", 1)[1]) if ":" in args.mu else 2.0
-        c0 = [float(v) for v in semicircle_moments(r * r, 2 * L)]
-    elif args.mu.endswith(".csv"):
-        c0 = list(np.loadtxt(args.mu, ndmin=1))
-    else:
-        raise SystemExit(f"unknown start measure {args.mu!r}")
-    if args.system == "a":
-        ms = limit_moments_a(c0[: L + 1], args.t, L)
-    elif args.system == "b":
-        ms = limit_moments_b(c0[: L + 1], args.nu0, args.t, L)
-    else:
-        ms = limit_moments_dunkl(c0[: L + 1], args.nu0, args.t, L)
+    # a CSV start gives its moments as they are; a Gauss rule would match only its first 2K
+    c0 = _csv_moments(args.mu) if args.mu.endswith(".csv") else _start_law(args.mu).moments(2 * L)
+    recurrence = {
+        "a": lambda c0: limit_moments_a(c0, args.t, L),
+        # type B starts live on [0, inf); its recurrence takes the moments of x^2
+        "b": lambda c0: limit_moments_b(square_moments(c0), args.nu0, args.t, L),
+        "dunkl": lambda c0: limit_moments_dunkl(c0, args.nu0, args.t, L),
+    }[args.system]
+    try:
+        ms = recurrence(c0)
+    except ValueError as err:
+        raise SystemExit(f"limit-moments: --mu {args.mu}: {err}")
     lines = ["order,moment"] + [f"{l},{float(v):.17g}" for l, v in enumerate(ms.values)]
     _write_lines(args.out, lines)
     print(f"limit-moments {args.system} t={args.t} -> {args.out}")
@@ -179,60 +207,26 @@ def _cmd_limit_moments(args):
 
 
 def _cmd_limit_law(args):
-    from .freeprob import (
-        dunkl_limit_stieltjes,
-        limit_law_a,
-        limit_law_b,
-        moment_law,
-        quartercircle_law,
-        semicircle,
-    )
+    from .freeprob import dunkl_limit_law, limit_law_a, limit_law_b
 
-    if args.mu == "delta0":
-        mu0 = moment_law([1.0] + [0.0] * 48)
-    elif args.mu == "quartercircle":
-        mu0 = quartercircle_law()
-    elif args.mu.startswith("semicircle"):
-        r = float(args.mu.split(":", 1)[1]) if ":" in args.mu else 2.0
-        mu0 = semicircle(r)
-    elif args.mu.endswith(".csv"):
-        mu0 = moment_law(list(np.loadtxt(args.mu, ndmin=1)))
-    else:
-        raise SystemExit(f"unknown start measure {args.mu!r}")
-
-    if args.kind == "a":
-        law = limit_law_a(mu0, args.t)
-        g = law.stieltjes
-    elif args.kind == "b":
-        law = limit_law_b(mu0, args.nu0, args.t)
-        g = law.stieltjes
-    else:
-        law = None
-        g = lambda z: dunkl_limit_stieltjes(mu0, args.nu0, args.t, z)  # noqa: E731
-
-    if args.stieltjes:
-        zs = np.loadtxt(args.stieltjes, dtype=complex, ndmin=1)
-        lines = ["z,G"] + [f"{z:.12g},{g(complex(z)):.12g}" for z in zs]
-        _write_lines(args.out, lines)
-    else:
-        grid = _parse_grid(args.grid)
-        if args.kind == "dunkl" and args.mu == "quartercircle" and args.nu0 == 0:
-            from .freeprob import quartercircle_dunkl_density
-
-            dens = quartercircle_dunkl_density(args.t, grid)
-        elif law is not None and law.kind in ("semicircle", "mp", "sqrt"):
-            dens = law.density(grid)
+    mu0 = _start_law(args.mu)
+    try:
+        make = {"a": lambda mu0, nu0, t: limit_law_a(mu0, t), "b": limit_law_b, "dunkl": dunkl_limit_law}
+        law = make[args.kind](mu0, args.nu0, args.t)
+        if args.stieltjes:
+            zs = np.loadtxt(args.stieltjes, dtype=complex, ndmin=1)
+            lines = ["z,G"] + [f"{z:.12g},{law.stieltjes(complex(z)):.12g}" for z in zs]
         else:
-            from .freeprob import stieltjes_invert
-
-            inv = stieltjes_invert(g, grid)
-            dens = inv.density
+            grid = _parse_grid(args.grid)
+            inv = law.spectral_density(grid)
             print(
                 f"inversion: {int(inv.diverged.sum())} of {grid.size} points flagged, "
                 f"clipped negative mass {inv.clip_mass:.3g}, total mass {inv.mass():.6g}"
             )
-        lines = ["x,density"] + [f"{x:.12g},{d:.17g}" for x, d in zip(grid, dens)]
-        _write_lines(args.out, lines)
+            lines = ["x,density"] + [f"{x:.12g},{d:.17g}" for x, d in zip(grid, inv.density)]
+    except ValueError as err:  # FreeProbDomainError included
+        raise SystemExit(f"limit-law: {err}")
+    _write_lines(args.out, lines)
     print(f"limit-law {args.kind} -> {args.out}")
     return 0
 

@@ -9,28 +9,34 @@ which is ring-generic: it runs unchanged over floats, exact rationals,
 and polynomials in t (the latter feed the R-transform PDE checks).
 Free additive convolution adds cumulants.
 
-Laws are represented by closed forms where available (semicircle,
-Marchenko-Pastur, quartercircle, atoms) and otherwise by truncated
-moment sequences, evaluated near the real axis through the Gaussian
-quadrature rule of the truncated moment problem (Chebyshev algorithm +
-Golub-Welsch); the raw moment series diverges inside the support, so it
-is only used far from it.  Square-root laws carry their squared-side law
-and never form half-integer moments.
+Each law is a :class:`LimitLaw` subclass giving G and G', moments and a
+support radius.  Semicircle, Marchenko-Pastur, quartercircle, beta and
+atoms are closed forms.  Square-root laws carry the law of their square.
+All composites come from one characteristic foot-point solve
+(:func:`_foot_point`): type A by subordination, z = z0 + t G_mu0(z0)
+(:class:`FreeConvA`); type B on the squared side as the Dunkl even part at
+half time (:class:`FreeConvB`); the Dunkl law for nu0 > 0 by its
+closed-form characteristics, for nu0 = 0 by the closed composition
+(:class:`DunklLaw`).  Their moments come from the cumulant algebra, their
+densities and CDFs from Stieltjes inversion on a grid.  A start given only
+by moments becomes atoms once, through the Gauss rule of its truncated
+moment problem (Chebyshev algorithm + Golub-Welsch).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import betainc, hyp2f1
 
-from .moments import catalan
+from .moments import catalan, limit_moments_dunkl
+
 
 __all__ = [
     "FreeProbDomainError",
@@ -48,7 +54,6 @@ __all__ = [
     "marchenko_pastur",
     "quartercircle_law",
     "atom_law",
-    "moment_law",
     "beta_law",
     "sqrt_law",
     "square_pushforward",
@@ -194,7 +199,7 @@ def quartercircle_moments(L: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# quadrature representation of a truncated moment sequence
+# Gauss rule of a truncated moment sequence (moments-only starts)
 # ---------------------------------------------------------------------------
 
 
@@ -246,288 +251,500 @@ def atoms_from_moments(m, K: int | None = None):
 # laws
 # ---------------------------------------------------------------------------
 
+# grid points of the inverted density behind a composite law's CDF
+_CDF_POINTS = 801
 
-@dataclass
+
 class LimitLaw:
-    """A limit law with evaluable moments, density, CDF and Stieltjes transform.
-
-    ``kind`` selects closed forms; ``sqrt`` laws live on [0, inf) (or on R
-    when symmetrized) and carry the law of their square instead of
-    half-integer moments.
+    """A law on R.  Subclasses give ``cauchy``, ``moment`` or ``moments``, and
+    ``support_radius``; closed forms override ``spectral_density`` and ``_cdf``,
+    which otherwise invert G (on a grid over the support, for the CDF).
     """
 
-    kind: str
-    moments_: list | None = None
-    params: dict = field(default_factory=dict)
-    sq_law: "LimitLaw | None" = None
-    _atom_cache: tuple | None = field(default=None, repr=False)
-
-    # -- moments ------------------------------------------------------
+    def cauchy(self, z: complex) -> tuple[complex, complex]:
+        """(G(z), G'(z)) with G(z) = integral of 1/(z - x) against the law."""
+        raise NotImplementedError
 
     def moment(self, l: int) -> float:
-        if self.kind == "sqrt":
-            if l % 2 == 0:
-                return float(self.sq_law.moment(l // 2))
-            if self.params.get("symmetrized"):
-                return 0.0
-            nodes, weights = self.sq_law.quad_atoms()
-            return float(np.sum(weights * np.sqrt(np.maximum(nodes, 0.0)) ** l))
-        if self.moments_ is None or l >= len(self.moments_):
-            ext = self._extend_moments(l)
-            if ext is None:
-                raise ValueError(f"moment of order {l} not available for kind {self.kind}")
-            return float(ext)
-        return float(self.moments_[l])
-
-    def _extend_moments(self, l):
-        """Closed-form kinds can produce moments of any order on demand."""
-        if self.kind == "semicircle":
-            r = self.params["r"]
-            return 0.0 if l % 2 else float(catalan(l // 2)) * (r * r / 4.0) ** (l // 2)
-        if self.kind == "mp":
-            m = cumulants_to_moments(mp_cumulants(self.params["c"], self.params["t"], l), l)
-            return float(m[l])
-        if self.kind == "quartercircle":
-            return quartercircle_moments(l)[l]
-        if self.kind == "atoms":
-            locs, weights = self.quad_atoms()
-            return float(np.sum(weights * locs**l))
-        if self.kind == "beta":
-            from scipy.stats import beta as beta_dist
-
-            return float(beta_dist.moment(l, self.params["a"], self.params["b"]))
-        return None
+        return self.moments(l)[l]
 
     def moments(self, L: int) -> list:
         return [self.moment(l) for l in range(L + 1)]
 
-    def quad_atoms(self):
-        """Discrete quadrature representation (nodes, weights)."""
-        if self._atom_cache is None:
-            if self.kind == "atoms":
-                cache = (
-                    np.asarray(self.params["locs"], dtype=float),
-                    np.asarray(self.params["weights"], dtype=float),
-                )
-            elif self.kind == "sqrt":
-                nodes, weights = self.sq_law.quad_atoms()
-                roots = np.sqrt(np.maximum(nodes, 0.0))
-                if self.params.get("symmetrized"):
-                    cache = (
-                        np.concatenate([-roots[::-1], roots]),
-                        np.concatenate([weights[::-1] / 2, weights / 2]),
-                    )
-                else:
-                    cache = (roots, weights)
-            else:
-                m = self.moments_ if self.moments_ is not None else self.moments(40)
-                cache = atoms_from_moments(m)
-            self._atom_cache = cache
-        return self._atom_cache
+    def support_radius(self) -> float:  # the support lies in [-R, R]
+        raise NotImplementedError
 
-    # -- pointwise evaluations -----------------------------------------
+    def squared(self) -> "LimitLaw":
+        """The law of x^2."""
+        raise FreeProbDomainError(f"no law of x^2 for {type(self).__name__}")
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "semicircle":
-            r = self.params["r"]
-            if r == 0:
-                return np.zeros_like(x)
-            inside = np.abs(x) < r
-            out = np.zeros_like(x)
-            out[inside] = 2.0 / (math.pi * r * r) * np.sqrt(r * r - x[inside] ** 2)
-            return out
-        if self.kind == "mp":
-            c, t = self.params["c"], self.params["t"]
-            xm = t * (math.sqrt(c) - 1) ** 2
-            xp = t * (math.sqrt(c) + 1) ** 2
-            out = np.zeros_like(x)
-            inside = (x > xm) & (x < xp) & (x > 0)
-            out[inside] = np.sqrt((xp - x[inside]) * (x[inside] - xm)) / (
-                2 * math.pi * t * x[inside]
-            )
-            return out
-        if self.kind == "quartercircle":
-            out = np.zeros_like(x)
-            inside = (x > 0) & (x < 2)
-            out[inside] = np.sqrt(4.0 - x[inside] ** 2) / math.pi
-            return out
-        if self.kind == "beta":
-            from scipy.stats import beta as beta_dist
+    def inverse_g(self, target: complex, guess: complex) -> complex:
+        """Solve G(u) = target by Newton from ``guess``."""
+        u = _newton(self.cauchy, target, guess)
+        if u is None:
+            raise FreeProbDomainError("Newton inversion of the Cauchy transform failed")
+        return u
 
-            return beta_dist.pdf(x, self.params["a"], self.params["b"])
-        if self.kind == "sqrt":
-            y = x * x
-            base = self.sq_law.density(y)
-            if self.params.get("symmetrized"):
-                return np.abs(x) * base
-            return np.where(x >= 0, 2.0 * x * base, 0.0)
-        raise ValueError(f"no closed density for kind {self.kind}")
-
-    def atom_at_zero(self) -> float:
-        if self.kind == "mp" and self.params["c"] < 1:
-            return 1.0 - self.params["c"]
-        if self.kind == "sqrt":
-            return self.sq_law.atom_at_zero()
-        return 0.0
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "semicircle":
-            r = self.params["r"]
-            if r == 0:
-                return (x >= 0).astype(float)
-            xc = np.clip(x, -r, r)
-            return 0.5 + (xc * np.sqrt(r * r - xc * xc) / (r * r) + np.arcsin(xc / r)) / math.pi
-        if self.kind == "beta":
-            from scipy.stats import beta as beta_dist
-
-            return beta_dist.cdf(x, self.params["a"], self.params["b"])
-        if self.kind == "quartercircle":
-            xc = np.clip(x, 0.0, 2.0)
-            return (xc * np.sqrt(4.0 - xc * xc) / 2.0 + 2.0 * np.arcsin(xc / 2.0)) / math.pi
-        if self.kind == "mp":
-            return self._grid_cdf()(x)
-        if self.kind == "atoms":
-            locs, weights = self.quad_atoms()
-            order = np.argsort(locs)
-            locs, weights = locs[order], weights[order]
-            cum = np.cumsum(weights)
-            idx = np.searchsorted(locs, x, side="right")
-            return np.concatenate([[0.0], cum])[idx]
-        if self.kind == "sqrt":
-            fs = self.sq_law.cdf(x * x)
-            if self.params.get("symmetrized"):
-                return np.where(x >= 0, 0.5 + fs / 2.0, (1.0 - fs) / 2.0)
-            return np.where(x >= 0, fs, 0.0)
-        # moment-backed fallback: step CDF of the quadrature atoms
-        locs, weights = self.quad_atoms()
-        order = np.argsort(locs)
-        cum = np.cumsum(weights[order])
-        idx = np.searchsorted(locs[order], x, side="right")
-        return np.concatenate([[0.0], cum])[idx]
-
-    def _grid_cdf(self):
-        if "grid_cdf" not in self.params:
-            c, t = self.params["c"], self.params["t"]
-            xm = t * (math.sqrt(c) - 1) ** 2
-            xp = t * (math.sqrt(c) + 1) ** 2
-            xs = np.linspace(xm, xp, 4001)
-            pdf = self.density(xs)
-            cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2 * np.diff(xs))])
-            atom = self.atom_at_zero()
-            cdf = atom + cdf * (1.0 - atom) / cdf[-1]
-
-            def f(x, xs=xs, cdf=cdf, xm=xm, atom=atom):
-                x = np.asarray(x, dtype=float)
-                out = np.interp(x, xs, cdf, left=0.0, right=1.0)
-                return np.where(x < 0, 0.0, np.where(x < xm, atom, out))
-
-            self.params["grid_cdf"] = f
-        return self.params["grid_cdf"]
+    def spectral_density(self, grid) -> "SpectralDensity":
+        """Density on ``grid`` by Stieltjes inversion, with its quality report."""
+        return stieltjes_invert(lambda z: self.cauchy(z)[0], grid)
 
     def stieltjes(self, z: complex) -> complex:
         return stieltjes(self, z)
 
-    def support_radius(self) -> float:
-        if self.kind == "semicircle":
-            return self.params["r"]
-        if self.kind == "mp":
-            c, t = self.params["c"], self.params["t"]
-            return t * (math.sqrt(c) + 1) ** 2
-        if self.kind == "quartercircle":
-            return 2.0
-        if self.kind == "sqrt":
-            return math.sqrt(max(self.sq_law.support_radius(), 0.0))
-        if self.kind == "atoms":
-            return float(np.max(np.abs(self.params["locs"])))
-        return _series_radius(self.moments_)
+    def density(self, x):
+        x = np.asarray(x, dtype=float)
+        return self.spectral_density(x.ravel()).density.reshape(x.shape)
+
+    def cdf(self, x):
+        return self._cdf(np.asarray(x, dtype=float))
+
+    def _cdf(self, x):
+        r = self.support_radius()
+        return self.spectral_density(np.linspace(-r, r, _CDF_POINTS)).cdf(x)
+
+
+class _ClosedLaw(LimitLaw):
+    """A law with a closed-form density ``_density`` and CDF ``_cdf``."""
+
+    def spectral_density(self, grid) -> "SpectralDensity":
+        grid = np.asarray(grid, dtype=float)
+        return SpectralDensity(grid, self._density(grid), 0.0, np.zeros(grid.size, bool), [])
+
+
+def _sqrt_two_cuts(z, a, b):
+    """sqrt((z-a)(z-b)) with branch cut on [a, b] and ~ z at infinity."""
+    return complex(z - a) ** 0.5 * complex(z - b) ** 0.5
+
+
+class Semicircle(_ClosedLaw):
+    """Semicircle law with support [-r, r], r > 0."""
+
+    def __init__(self, r: float):
+        self.r = float(r)
+
+    def cauchy(self, z):
+        r2 = self.r * self.r
+        root = _sqrt_two_cuts(z, -self.r, self.r)
+        return 2.0 / r2 * (z - root), 2.0 / r2 * (1.0 - z / root)
+
+    def moments(self, L):
+        return [float(v) for v in semicircle_moments(self.r * self.r, L)]
+
+    def support_radius(self):
+        return self.r
+
+    def squared(self):
+        return marchenko_pastur(1.0, self.r * self.r / 4.0)
+
+    def inverse_g(self, target, guess):
+        return (self.r * self.r / 4.0) * target + 1.0 / target
+
+    def _density(self, x):
+        r = self.r
+        inside = np.abs(x) < r
+        out = np.zeros_like(x)
+        out[inside] = 2.0 / (math.pi * r * r) * np.sqrt(r * r - x[inside] ** 2)
+        return out
+
+    def _cdf(self, x):
+        r = self.r
+        xc = np.clip(x, -r, r)
+        return 0.5 + (xc * np.sqrt(r * r - xc * xc) / (r * r) + np.arcsin(xc / r)) / math.pi
+
+
+class MarchenkoPastur(_ClosedLaw):
+    """Marchenko-Pastur law with shape c >= 0 and scale t > 0 (free cumulants c t^n)."""
+
+    def __init__(self, c: float, t: float):
+        self.c, self.t = float(c), float(t)
+        self.lo = self.t * (math.sqrt(self.c) - 1) ** 2
+        self.hi = self.t * (math.sqrt(self.c) + 1) ** 2
+
+    def cauchy(self, z):
+        c, t = self.c, self.t
+        root = _sqrt_two_cuts(z, self.lo, self.hi)
+        g = (z + t * (1 - c) - root) / (2 * t * z)
+        droot = (z - 0.5 * (self.lo + self.hi)) / root
+        return g, (1.0 - droot) / (2 * t * z) - g / z
+
+    def moments(self, L):
+        return [float(v) for v in cumulants_to_moments(mp_cumulants(self.c, self.t, L), L)]
+
+    def support_radius(self):
+        return self.hi
+
+    def atom_at_zero(self):
+        return max(0.0, 1.0 - self.c)
+
+    def _density(self, x):
+        out = np.zeros_like(x)
+        inside = (x > self.lo) & (x < self.hi) & (x > 0)
+        xi = x[inside]
+        out[inside] = np.sqrt((self.hi - xi) * (xi - self.lo)) / (2 * math.pi * self.t * xi)
+        return out
+
+    def _cdf(self, x):
+        # x = m + h sin(th) turns the density into (m - h sin th - ab/(m + h sin th))/(2 pi t)
+        a, b = self.lo, self.hi
+        m, h, root_ab = 0.5 * (a + b), 0.5 * (b - a), self.t * abs(self.c - 1.0)
+        th = np.arcsin(np.clip((x - m) / h, -1.0, 1.0)) if h > 0 else np.sign(x - m) * math.pi / 2
+
+        def primitive(th):
+            out = m * th + h * np.cos(th)
+            if root_ab > 0:
+                out = out - 2.0 * root_ab * np.arctan((m * np.tan(th / 2) + h) / root_ab)
+            return out
+
+        cont = (primitive(th) - primitive(-math.pi / 2)) / (2 * math.pi * self.t)
+        return np.where(x < 0, 0.0, self.atom_at_zero() + cont)
+
+
+class Quartercircle(_ClosedLaw):
+    """Quartercircle law: density sqrt(4 - x^2)/pi on [0, 2]."""
+
+    def cauchy(self, z):
+        # G = ((4 - z^2) J + pi z/2 + 2)/pi with J = int_0^2 dx/((z - x) sqrt(4 - x^2)),
+        # and G' = (pi/2 + 2/z - z J)/pi
+        s = cmath.sqrt(z - 2) * cmath.sqrt(z + 2)
+        j = 2.0 / s * (cmath.atan((z - 2) / s) + cmath.atan(2.0 / s))
+        return ((4 - z * z) * j + math.pi * z / 2 + 2) / math.pi, (math.pi / 2 + 2 / z - z * j) / math.pi
+
+    def moments(self, L):
+        return list(quartercircle_moments(L))
+
+    def support_radius(self):
+        return 2.0
+
+    def squared(self):
+        return marchenko_pastur(1.0, 1.0)
+
+    def _density(self, x):
+        out = np.zeros_like(x)
+        inside = (x > 0) & (x < 2)
+        out[inside] = np.sqrt(4.0 - x[inside] ** 2) / math.pi
+        return out
+
+    def _cdf(self, x):
+        xc = np.clip(x, 0.0, 2.0)
+        return (xc * np.sqrt(4.0 - xc * xc) / 2.0 + 2.0 * np.arcsin(xc / 2.0)) / math.pi
+
+
+class BetaLaw(_ClosedLaw):
+    """Beta(a, b) law on [0, 1], used for the classical Laguerre-zero limit."""
+
+    def __init__(self, a: float, b: float):
+        self.a, self.b = float(a), float(b)
+
+    def cauchy(self, z):
+        # G = 2F1(1, a; a + b; 1/z)/z, the Euler integral of the beta density
+        a, b, u = self.a, self.b, 1.0 / z
+        f = complex(hyp2f1(1.0, a, a + b, u))
+        df = a / (a + b) * complex(hyp2f1(2.0, a + 1.0, a + b + 1.0, u))
+        return u * f, -u * u * (f + u * df)
+
+    def moment(self, l):
+        return float(math.prod((self.a + r) / (self.a + self.b + r) for r in range(l)))
+
+    def support_radius(self):
+        return 1.0
+
+    def _density(self, x):
+        a, b = self.a, self.b
+        log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        out = np.zeros_like(x)
+        inside = (x > 0) & (x < 1)
+        xi = x[inside]
+        out[inside] = np.exp(log_norm + (a - 1) * np.log(xi) + (b - 1) * np.log1p(-xi))
+        return out
+
+    def _cdf(self, x):
+        return betainc(self.a, self.b, np.clip(x, 0.0, 1.0))
+
+
+class Atoms(LimitLaw):
+    """Finitely many atoms ``locs`` with ``weights``."""
+
+    def __init__(self, locs, weights):
+        self.locs = np.atleast_1d(np.asarray(locs, dtype=float))
+        self.weights = np.atleast_1d(np.asarray(weights, dtype=float))
+
+    def cauchy(self, z):
+        d = 1.0 / (z - self.locs)
+        return complex(self.weights @ d), complex(-(self.weights @ (d * d)))
+
+    def moment(self, l):
+        return float(np.sum(self.weights * self.locs**l))
+
+    def support_radius(self):
+        return float(np.max(np.abs(self.locs)))
+
+    def squared(self):
+        return Atoms(self.locs**2, self.weights)
+
+    def _cdf(self, x):
+        order = np.argsort(self.locs)
+        cum = np.concatenate([[0.0], np.cumsum(self.weights[order])])
+        return cum[np.searchsorted(self.locs[order], x, side="right")]
+
+
+# Gauss-Legendre rule in phi for u = tan(phi) on [0, inf), used by SquareRoot
+_U_NODES, _U_WEIGHTS = np.polynomial.legendre.leggauss(96)
+_U_PHI = (_U_NODES + 1.0) * math.pi / 4.0
+_U_WEIGHTS = _U_WEIGHTS * math.pi / 4.0
+
+
+class SquareRoot(LimitLaw):
+    """Law of sqrt(y) for y ~ ``sq_law`` on [0, inf); symmetrized, of +-sqrt(y).
+
+    It carries the law of its square and never forms half-integer moments:
+    odd moments exist only for the symmetrized law (where they vanish).
+    """
+
+    def __init__(self, sq_law: LimitLaw, symmetrized: bool = False):
+        self.sq_law, self.symmetrized = sq_law, symmetrized
+
+    def cauchy(self, z):
+        w = z * z
+        gq, dgq = self.sq_law.cauchy(w)
+        g, dg = z * gq, gq + 2.0 * w * dgq
+        if self.symmetrized:
+            return g, dg
+        # odd part int sqrt(y)/(w - y) dQ(y) = (2/pi) int_0^inf N(u)/(w + u^2) du with
+        # N(u) = w G_sq(w) + u^2 G_sq(-u^2), from sqrt(y) = (2/pi) int_0^inf y/(y + u^2) du
+        scale = math.sqrt(max(self.sq_law.support_radius(), 1e-300))
+        odd = d_odd = 0j
+        for phi, wt in zip(_U_PHI, _U_WEIGHTS):
+            u = scale * math.tan(phi)
+            du = wt * scale / math.cos(phi) ** 2
+            u2 = u * u
+            num = w * gq + u2 * self.sq_law.cauchy(complex(-u2, 0.0))[0]
+            den = w + u2
+            odd += du * num / den
+            d_odd += du * ((gq + w * dgq) * den - num) / (den * den)
+        return g + 2.0 / math.pi * odd, dg + 4.0 / math.pi * z * d_odd
+
+    def moment(self, l):
+        if l % 2 == 0:
+            return float(self.sq_law.moment(l // 2))
+        if self.symmetrized:
+            return 0.0
+        raise FreeProbDomainError("odd moments of a square-root law are half-integer moments of its square")
+
+    def support_radius(self):
+        return math.sqrt(max(self.sq_law.support_radius(), 0.0))
+
+    def squared(self):
+        return self.sq_law
+
+    def spectral_density(self, grid):
+        """f(x) = 2x f_sq(x^2) for x >= 0, or |x| f_sq(x^2) on R when symmetrized; 0 at x = 0."""
+        grid = np.asarray(grid, dtype=float)
+        side = np.full(grid.size, True) if self.symmetrized else grid >= 0
+        xs = np.abs(grid[side])
+        ys, at = np.unique(xs, return_inverse=True)  # each |x| once, ascending
+        sd = self.sq_law.spectral_density(ys * ys)
+        half = 0.5 if self.symmetrized else 1.0
+        density, diverged = np.zeros(grid.size), np.zeros(grid.size, bool)
+        density[side] = half * 2.0 * xs * sd.density[at]
+        diverged[side] = sd.diverged[at] & (xs > 0)
+        signs = (1.0, -1.0) if self.symmetrized else (1.0,)
+        atoms = [(sgn * math.sqrt(y), half * w) for y, w in sd.atoms for sgn in signs]
+        return SpectralDensity(grid, density, sd.clip_mass, diverged, atoms)
+
+    def _cdf(self, x):
+        fs = self.sq_law.cdf(x * x)
+        if self.symmetrized:
+            return np.where(x >= 0, 0.5 + fs / 2.0, (1.0 - fs) / 2.0)
+        return np.where(x >= 0, fs, 0.0)
+
+
+class FreeConvA(LimitLaw):
+    """Type A limit sc(2 sqrt t) boxplus mu0, by subordination.
+
+    The Burgers characteristics are straight: z = z0 + t G_mu0(z0) carries
+    G(z) = G_mu0(z0), and the path is valid iff Im z0 > 0.
+    """
+
+    def __init__(self, mu0: LimitLaw, t: float):
+        self.mu0, self.t = mu0, float(t)
+
+    def cauchy(self, z):
+        t = self.t
+
+        def end(z0):
+            g, dg = self.mu0.cauchy(z0)
+            return z0 + t * g, 1.0 + t * dg, g, dg
+
+        _, (_, dz, g, dg) = _foot_point(end, lambda z0: z0.imag > 0, lambda zc: zc, z, lambda zc: zc - t / zc)
+        return g, dg / dz
+
+    def moments(self, L):
+        return [float(v) for v in free_add(semicircle_moments(4.0 * self.t, L), self.mu0.moments(L), L)]
+
+    def support_radius(self):
+        return self.mu0.support_radius() + 2.0 * math.sqrt(self.t)
+
+
+class FreeConvB(LimitLaw):
+    """Squared side of the type B limit: MP(nu0, t) boxplus (sc(2 sqrt t) boxplus mu0_even)^2.
+
+    It is the law of x^2 under the Dunkl even part at time t/2: G(w) = q0/(1 + t q0)
+    with q0 = G_Q0(z0^2) at the Dunkl foot point z0 through sqrt(w), Q0 = law of x^2 under mu0.
+    """
+
+    def __init__(self, mu0: LimitLaw, nu0: float, t: float):
+        self.q0_law = mu0.squared()
+        self.nu0, self.t = float(nu0), float(t)
+
+    def cauchy(self, w):
+        t = self.t
+        _, (_, dw, q0, dq0) = _dunkl_foot_point(self.q0_law.cauchy, self.nu0, t / 2.0, cmath.sqrt(w))
+        a = 1.0 + t * q0
+        return q0 / a, dq0 / (dw * a * a)
+
+    def moments(self, L):
+        q0 = self.q0_law.moments(L)
+        even = [q0[l // 2] if l % 2 == 0 else 0.0 for l in range(2 * L + 1)]
+        sq = square_moments(free_add(semicircle_moments(4.0 * self.t, 2 * L), even, 2 * L))
+        k = [a + b for a, b in zip(moments_to_cumulants(sq, L), mp_cumulants(self.nu0, self.t, L))]
+        return [float(v) for v in cumulants_to_moments(k, L)]
+
+    def support_radius(self):
+        mp = self.t * (math.sqrt(self.nu0) + 1.0) ** 2 if self.nu0 > 0 else 0.0
+        return (math.sqrt(self.q0_law.support_radius()) + 2.0 * math.sqrt(self.t)) ** 2 + mp
+
+
+class DunklLaw(LimitLaw):
+    """Full-space jump-system limit at time t: even part plus odd transform.
+
+    The even part is the symmetrized type B law at time 2t.  For nu0 > 0,
+    G comes from the foot point of the closed-form characteristics; for
+    nu0 = 0 from the closed composition G_mu0(G_even^{-1}(G_mixed(z))),
+    mixed = sc(2 sqrt(2t)) boxplus mu0_even.  Moments come from the
+    moment recurrence.
+    """
+
+    def __init__(self, mu0: LimitLaw, nu0: float, t: float):
+        self.mu0, self.nu0, self.t = mu0, float(nu0), float(t)
+        self.even_law = sqrt_law(limit_law_b(mu0, nu0, 2.0 * t).sq_law, symmetrized=True)
+
+    def cauchy(self, z):
+        if z.imag < 0:
+            g, dg = self.cauchy(z.conjugate())
+            return g.conjugate(), dg.conjugate()
+        if self.nu0 == 0:
+            mu_even = sqrt_law(self.mu0.squared(), symmetrized=True)
+            w, dw = limit_law_a(mu_even, 2.0 * self.t).cauchy(z)
+            if w.imag >= 0:
+                raise FreeProbDomainError("even transform lost the Herglotz sign")
+            u = mu_even.inverse_g(w, 1.0 / w)
+            # the composition maps the upper half-plane into itself; Im u < 0 is rounding
+            u = complex(u.real, abs(u.imag))
+            g, dg = self.mu0.cauchy(u)
+            return g, dg * dw / mu_even.cauchy(u)[1]
+        (g_even, g_odd), (dg_even, dg_odd) = self.characteristic(z)
+        g = g_even + g_odd
+        if not g.imag < 0:
+            raise FreeProbDomainError(f"characteristic route lost the Herglotz sign at z = {z}")
+        return g, dg_even + dg_odd
+
+    def characteristic(self, z):
+        """((G_even, G_odd), (G_even', G_odd')) at z, Im z > 0, from the foot point.
+
+        G_even(t, z) = z q(t) = z q0/(1 + 2 t q0), and the odd part is constant
+        along the characteristic: G_odd(t, z) = (G_mu0(z0) + G_mu0(-z0))/2.
+        """
+        t = self.t
+        w0, (_, dw, q0, dq0) = _dunkl_foot_point(self.mu0.squared().cauchy, self.nu0, t, z)
+        z0 = cmath.sqrt(w0)
+        z0 = z0 if z0.imag > 0 else -z0
+        if z0.imag <= 0:
+            raise FreeProbDomainError("characteristic crossed the real axis")
+        a = 1.0 + 2.0 * t * q0
+        dw0 = 2.0 * z / dw  # dw0/dz
+        (gp, dgp), (gm, dgm) = self.mu0.cauchy(z0), self.mu0.cauchy(-z0)
+        dg_even = q0 / a + z * dq0 * dw0 / (a * a)
+        return (z * q0 / a, 0.5 * (gp + gm)), (dg_even, 0.25 * (dgp - dgm) * dw0 / z0)
+
+    def moments(self, L):
+        return limit_moments_dunkl(self.mu0.moments(L), self.nu0, self.t, L).floats().tolist()
+
+    def support_radius(self):
+        return self.even_law.support_radius()
+
+    def spectral_density(self, grid):
+        if isinstance(self.mu0, Quartercircle) and self.nu0 == 0:
+            grid = np.asarray(grid, dtype=float)
+            dens = quartercircle_dunkl_density(self.t, grid)
+            return SpectralDensity(grid, dens, 0.0, np.zeros(grid.size, bool), [])
+        return super().spectral_density(grid)
 
 
 def semicircle(r: float) -> LimitLaw:
-    """Semicircle law with support [-r, r]."""
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    mom = semicircle_moments(float(r) ** 2, 40)
-    return LimitLaw("semicircle", [float(v) for v in mom], {"r": float(r)})
+    """Semicircle law with support [-r, r]; r = 0 is the point mass at 0."""
+    if not (math.isfinite(r) and r >= 0):
+        raise ValueError(f"radius must be finite and nonnegative, got {r!r}")
+    return Semicircle(r) if r > 0 else atom_law([0.0])
 
 
 def marchenko_pastur(c: float, t: float) -> LimitLaw:
     """Marchenko-Pastur law with shape c >= 0 and scale t > 0."""
     if c < 0 or t <= 0:
         raise ValueError("require c >= 0 and t > 0")
-    mom = cumulants_to_moments(mp_cumulants(float(c), float(t), 40))
-    return LimitLaw("mp", [float(v) for v in mom], {"c": float(c), "t": float(t)})
+    return MarchenkoPastur(c, t)
 
 
 def quartercircle_law() -> LimitLaw:
     """Quartercircle law: density sqrt(4 - x^2)/pi on [0, 2]."""
-    return LimitLaw("quartercircle", list(quartercircle_moments(40)), {})
+    return Quartercircle()
 
 
 def atom_law(locs, weights=None) -> LimitLaw:
     locs = np.atleast_1d(np.asarray(locs, dtype=float))
     if weights is None:
         weights = np.full(locs.size, 1.0 / locs.size)
-    weights = np.asarray(weights, dtype=float)
-    mom = [float(np.sum(weights * locs**l)) for l in range(41)]
-    return LimitLaw("atoms", mom, {"locs": locs, "weights": weights})
-
-
-def moment_law(m) -> LimitLaw:
-    return LimitLaw("moments", list(m), {})
+    return Atoms(locs, weights)
 
 
 def beta_law(a: float, b: float) -> LimitLaw:
     """Beta law on [0, 1], used for the classical Laguerre-zero limit."""
-    from scipy.stats import beta as beta_dist
-
-    mom = [float(beta_dist.moment(l, a, b)) if l else 1.0 for l in range(25)]
-    return LimitLaw("beta", mom, {"a": a, "b": b})
+    return BetaLaw(a, b)
 
 
 def sqrt_law(squared: LimitLaw, symmetrized: bool = False) -> LimitLaw:
-    """Square-root pushforward of a law on [0, inf); optionally symmetrized."""
-    return LimitLaw("sqrt", None, {"symmetrized": symmetrized}, sq_law=squared)
+    """Square-root pushforward of a law on [0, inf); optionally symmetrized.
+
+    The symmetrized root of MP(1, s) is the semicircle of radius 2 sqrt(s).
+    """
+    if symmetrized and isinstance(squared, MarchenkoPastur) and squared.c == 1.0:
+        return Semicircle(2.0 * math.sqrt(squared.t))
+    return SquareRoot(squared, symmetrized)
 
 
 def square_pushforward(law: LimitLaw) -> LimitLaw:
     """Pushforward under x -> x^2."""
-    if law.kind == "sqrt":
-        return law.sq_law
-    if law.kind == "semicircle":
-        # (semicircle R)^2 = MP(1, R^2/4)
-        r = law.params["r"]
-        return marchenko_pastur(1.0, r * r / 4.0)
-    if law.moments_ is not None:
-        return moment_law(square_moments(law.moments_))
-    raise ValueError(f"cannot square kind {law.kind}")
+    return law.squared()
 
 
-def _coerce_moments(mu0, L):
-    if isinstance(mu0, LimitLaw):
-        return mu0.moments(L)
-    return list(mu0)[: L + 1]
+def _as_law(mu0) -> LimitLaw:
+    """A law, or the atoms of the Gauss rule of a moment sequence m_0, m_1, ..."""
+    return mu0 if isinstance(mu0, LimitLaw) else Atoms(*atoms_from_moments(list(mu0)))
 
 
-def limit_law_a(mu0, t: float, L: int = 24) -> LimitLaw:
+def limit_law_a(mu0, t: float) -> LimitLaw:
     """Long-time law of the type A system: semicircle(2 sqrt(t)) boxplus mu0."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    m0 = _coerce_moments(mu0, L)
+    mu0 = _as_law(mu0)
     if t == 0:
-        return mu0 if isinstance(mu0, LimitLaw) else moment_law(m0)
-    if all(v == 0 for v in m0[1:]):
-        return semicircle(2.0 * math.sqrt(t))
-    if isinstance(mu0, LimitLaw) and mu0.kind == "semicircle":
-        return semicircle(math.sqrt(mu0.params["r"] ** 2 + 4.0 * t))
-    mom = free_add(semicircle_moments(4.0 * t, L), m0, L)
-    law = moment_law([float(v) for v in mom])
-    law.params.update({"composite": "free-conv-a", "t": t})
-    return law
+        return mu0
+    if isinstance(mu0, Semicircle) or mu0.support_radius() == 0:  # radii add in quadrature
+        return semicircle(math.sqrt(mu0.support_radius() ** 2 + 4.0 * t))
+    return FreeConvA(mu0, t)
 
 
-def limit_law_b(mu0, nu0: float, t: float, L: int = 24) -> LimitLaw:
+def limit_law_b(mu0, nu0: float, t: float) -> LimitLaw:
     """Type B limit: sqrt( MP(nu0,t) boxplus (sc(2 sqrt t) boxplus mu0_even)^2 ).
 
     ``mu0`` is the initial law on [0, inf); the returned law carries the
@@ -537,47 +754,17 @@ def limit_law_b(mu0, nu0: float, t: float, L: int = 24) -> LimitLaw:
         raise ValueError("t must be positive")
     if nu0 < 0:
         raise ValueError("nu0 must be nonnegative")
-    m0 = _coerce_moments(mu0, 2 * L)
-    even = even_part_moments(m0)
-    inner = free_add(semicircle_moments(4.0 * t, 2 * L), even, 2 * L)
-    sq = square_moments(inner)
-    if all(v == 0 for v in m0[1:]):
-        sq_comp = marchenko_pastur(1.0 + nu0, t)
-    else:
-        if nu0 > 0:
-            total = [
-                a + b
-                for a, b in zip(moments_to_cumulants(sq, L), mp_cumulants(nu0, t, L))
-            ]
-            sq_comp = moment_law([float(v) for v in cumulants_to_moments(total, L)])
-        else:
-            sq_comp = moment_law([float(v) for v in sq[: L + 1]])
-        sq_comp.params.update({"composite": "free-conv-b", "t": t, "nu0": nu0})
-    return sqrt_law(sq_comp)
+    mu0 = _as_law(mu0)
+    if mu0.support_radius() == 0:
+        return sqrt_law(marchenko_pastur(1.0 + nu0, t))
+    return sqrt_law(FreeConvB(mu0, nu0, t))
 
 
-def dunkl_limit_law(mu0, nu0: float, t: float, L: int = 24) -> LimitLaw:
-    """Full-space jump-system limit: symmetrized even part plus odd transform.
-
-    The even part is the symmetrized sqrt composite with doubled time; the
-    odd part is available only through :func:`dunkl_limit_stieltjes` and is
-    attached as an evaluator in ``params``.
-    """
-    m0 = _coerce_moments(mu0, 2 * L)
-    even_m = even_part_moments(m0)
-    # even part on the sqrt(N) scaling: the type B composite with doubled time.
-    inner = free_add(semicircle_moments(8.0 * t, 2 * L), even_m, 2 * L)
-    sq = square_moments(inner)
-    if nu0 > 0:
-        total = [
-            a + b for a, b in zip(moments_to_cumulants(sq, L), mp_cumulants(nu0, 2.0 * t, L))
-        ]
-        sq = cumulants_to_moments(total, L)
-    even_law = sqrt_law(moment_law([float(v) for v in sq[: L + 1]]), symmetrized=True)
-    law = LimitLaw("dunkl", None, {"nu0": nu0, "t": t, "mu0": mu0}, sq_law=even_law.sq_law)
-    law.params["even_law"] = even_law
-    law.params["stieltjes"] = lambda z: dunkl_limit_stieltjes(mu0, nu0, t, z, L=L)
-    return law
+def dunkl_limit_law(mu0, nu0: float, t: float) -> LimitLaw:
+    """Full-space jump-system limit law at time t; t = 0 returns the start."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    return _as_law(mu0) if t == 0 else DunklLaw(_as_law(mu0), nu0, t)
 
 
 # ---------------------------------------------------------------------------
@@ -585,84 +772,12 @@ def dunkl_limit_law(mu0, nu0: float, t: float, L: int = 24) -> LimitLaw:
 # ---------------------------------------------------------------------------
 
 
-def _sqrt_two_cuts(z, a, b):
-    """sqrt((z-a)(z-b)) with branch cut on [a, b] and ~ z at infinity."""
-    return complex(z - a) ** 0.5 * complex(z - b) ** 0.5
-
-
-def _g_semicircle(r, z):
-    if r == 0:
-        return 1.0 / z
-    return 2.0 / (r * r) * (z - _sqrt_two_cuts(z, -r, r))
-
-
-def _g_mp(c, t, z):
-    xm = t * (math.sqrt(c) - 1) ** 2
-    xp = t * (math.sqrt(c) + 1) ** 2
-    return (z + t * (1 - c) - _sqrt_two_cuts(z, xm, xp)) / (2 * t * z)
-
-
-def _g_quartercircle(z):
-    def f(x):
-        return np.sqrt(4.0 - x * x) / math.pi / (z - x)
-
-    re = integrate.quad(lambda x: f(x).real, 0.0, 2.0, limit=200)[0]
-    im = integrate.quad(lambda x: f(x).imag, 0.0, 2.0, limit=200)[0]
-    return complex(re, im)
-
-
-def _series_radius(m) -> float:
-    r = 0.0
-    for l in range(1, len(m)):
-        v = abs(float(m[l]))
-        if v > 0:
-            r = max(r, v ** (1.0 / l))
-    return r
-
-
-def _g_series(m, z):
-    acc = 0j
-    zp = z
-    for l in range(len(m)):
-        acc += float(m[l]) / zp
-        zp *= z
-    return acc
-
-
 def stieltjes(law_or_moments, z) -> complex:
     """Cauchy transform G(z) = integral of 1/(z - x) against the law."""
     z = complex(z)
     if z.imag == 0:
         raise ValueError("z must be off the real axis")
-    if not isinstance(law_or_moments, LimitLaw):
-        m = list(law_or_moments)
-        if abs(z) > 2.0 * _series_radius(m) + 1.0:
-            return _g_series(m, z)
-        nodes, weights = atoms_from_moments(m)
-        return complex(np.sum(weights / (z - nodes)))
-    law = law_or_moments
-    if law.kind == "semicircle":
-        return _g_semicircle(law.params["r"], z)
-    if law.kind == "mp":
-        return _g_mp(law.params["c"], law.params["t"], z)
-    if law.kind == "quartercircle":
-        return _g_quartercircle(z)
-    if law.kind == "atoms":
-        locs, weights = law.quad_atoms()
-        return complex(np.sum(weights / (z - locs)))
-    if law.kind == "sqrt":
-        if law.params.get("symmetrized"):
-            # even law: G(z) = z * G_squared(z^2)
-            return z * stieltjes(law.sq_law, z * z)
-        nodes, weights = law.quad_atoms()
-        return complex(np.sum(weights / (z - nodes)))
-    if law.kind == "dunkl":
-        return law.params["stieltjes"](z)
-    m = law.moments_
-    if abs(z) > 2.0 * _series_radius(m) + 1.0:
-        return _g_series(m, z)
-    nodes, weights = law.quad_atoms()
-    return complex(np.sum(weights / (z - nodes)))
+    return _as_law(law_or_moments).cauchy(z)[0]
 
 
 @dataclass
@@ -675,6 +790,20 @@ class SpectralDensity:
 
     def mass(self) -> float:
         return float(np.trapezoid(self.density, self.grid)) + sum(w for _, w in self.atoms)
+
+    def cdf(self, x):
+        """CDF of the trapezoid-integrated density plus atoms, normalized to mass 1."""
+        xs = self.grid
+        cdf = np.concatenate([[0.0], np.cumsum((self.density[1:] + self.density[:-1]) / 2 * np.diff(xs))])
+        locs = np.array([loc for loc, _ in self.atoms])
+        cum_w = np.cumsum([w for _, w in sorted(self.atoms)])
+        total = cdf[-1] + (cum_w[-1] if locs.size else 0.0)
+        x = np.asarray(x, dtype=float)
+        base = np.interp(x, xs, cdf, left=0.0, right=cdf[-1])
+        if locs.size:
+            idx = np.searchsorted(np.sort(locs), x, side="right")
+            base = base + np.concatenate([[0.0], cum_w])[idx]
+        return base / total
 
 
 def stieltjes_invert(g, grid, eps_schedule=(1e-1, 1e-2, 1e-3, 1e-4)) -> SpectralDensity:
@@ -716,67 +845,72 @@ def stieltjes_invert(g, grid, eps_schedule=(1e-1, 1e-2, 1e-3, 1e-4)) -> Spectral
 
 
 # ---------------------------------------------------------------------------
-# full-space jump-system Stieltjes transform
+# characteristic foot points
 # ---------------------------------------------------------------------------
 
 
-def _even_law_inverse_g(even_law: LimitLaw, target: complex, guess: complex) -> complex:
-    """Solve G_even(u) = target for u in the upper half-plane."""
-    if even_law.kind == "semicircle":
-        r = even_law.params["r"]
-        if target == 0:
-            raise FreeProbDomainError("cannot invert G at 0")
-        return (r * r / 4.0) * target + 1.0 / target
-    locs, weights = even_law.quad_atoms()
-    u = guess
-    for _ in range(100):
-        d = u - locs
-        gu = complex(np.sum(weights / d))
-        dgu = complex(-np.sum(weights / d**2))
-        if dgu == 0:
-            break
-        step = (gu - target) / dgu
-        u = u - step
-        if abs(step) < 1e-13 * max(1.0, abs(u)):
-            return u
-    raise FreeProbDomainError("Newton inversion of the even-part transform failed")
+def _newton(f, target, v0):
+    """Newton on f(v)[0] = target from v0, with f(v)[1] the derivative; None when it stalls."""
+    for _ in range(40):
+        end = f(v0)
+        if end[1] == 0:
+            return None
+        step = (end[0] - target) / end[1]
+        v0 = v0 - step
+        if not cmath.isfinite(step):
+            return None
+        if abs(step) <= 1e-13 * max(1.0, abs(v0)):
+            return v0
+    return None
 
 
-def _squared_start_transform(mu_even: LimitLaw, m0):
-    """w -> (G_Q0(w), G_Q0'(w)) for Q0, the law of x^2 under the start law.
+def _foot_point(end_map, valid, target, z: complex, guess):
+    """Foot point v0 of the characteristic through z, and end_map(v0).
 
-    Closed form when the even part is a semicircle of radius r (then Q0 is
-    MP(1, r^2/4)); otherwise the Gauss rule of the squared even moments.
+    ``end_map(v0)`` returns (v(t), dv(t)/dv0, ...) for the characteristic
+    with foot v0; the foot point solves v(t) = target(z).  Newton starts
+    from guess(zc) at zc = x + iY (Y >= 4, far from the support) and is
+    continued down the vertical segment to z; a step is halved when Newton
+    stalls or lands on a root that ``valid`` rejects.  Below the axis the
+    foot point is the conjugate of the one through conj(z).
     """
-    if mu_even.kind == "semicircle" and mu_even.params["r"] > 0:
-        r2 = mu_even.params["r"] ** 2
-
-        def g_q0(w):
-            # G = 2 (1 - root)/r^2 without the cancellation; cut on (0, r^2]
-            root = cmath.sqrt(1.0 - r2 / w)
-            return 2.0 / (w * (1.0 + root)), -1.0 / (w * w * root)
-
-        return g_q0
-    nodes, weights = atoms_from_moments(square_moments(m0))
-
-    def g_q0(w):
-        d = 1.0 / (w - nodes)
-        return complex(np.sum(weights * d)), complex(-np.sum(weights * d * d))
-
-    return g_q0
+    if z.imag < 0:
+        v0, end = _foot_point(end_map, valid, target, z.conjugate(), guess)
+        return v0.conjugate(), tuple(v.conjugate() for v in end)
+    top = max(4.0, z.imag)
+    y, h = top, top - z.imag
+    zc = complex(z.real, top)
+    v0 = _newton(end_map, target(zc), guess(zc))
+    if v0 is None or not valid(v0):
+        raise FreeProbDomainError(f"no characteristic foot point found above z = {z}")
+    while y > z.imag:
+        y_next = max(z.imag, y - h)
+        v = _newton(end_map, target(complex(z.real, y_next)), v0)
+        if v is not None and valid(v):
+            v0, y, h = v, y_next, 2.0 * h
+        elif h < 1e-12 * top:
+            raise FreeProbDomainError(f"characteristic foot-point continuation stalled at z = {z}")
+        else:
+            h /= 2.0
+    end = end_map(v0)
+    goal = target(z)
+    if abs(end[0] - goal) > 1e-12 * max(1.0, abs(goal)):
+        raise FreeProbDomainError(f"characteristic foot point off by {abs(end[0] - goal):.3g} at z = {z}")
+    return v0, end
 
 
 def _characteristic_end(g_q0, nu0, t, w0):
-    """w(t) = z(t)^2 on the characteristic with foot w0 = z0^2, dw(t)/dw0, and q0.
+    """(w(t), dw(t)/dw0, q0, dq0/dw0) on the Dunkl characteristic with foot w0 = z0^2.
 
     Along dz/ds = nu0/z + 2 G_even(s, z) the even PDE gives q = G_even/z with
     dq/ds = -2 q^2 and w = z^2 with dw/ds = 2 nu0 + 4 w q, so
-    q(s) = q0/a(s) and w(s) = a(s)^2 w0 + 2 nu0 s a(s), a(s) = 1 + 2 s q0.
+    q(s) = q0/a(s) and w(s) = a(s)^2 w0 + 2 nu0 s a(s), a(s) = 1 + 2 s q0,
+    where q0 = G_Q0(w0) and Q0 is the law of x^2 at s = 0.
     """
     q0, dq0 = g_q0(w0)
     a = 1.0 + 2.0 * t * q0
     w = a * a * w0 + 2.0 * nu0 * t * a
-    return w, a * a + 4.0 * t * dq0 * (a * w0 + nu0 * t), q0
+    return w, a * a + 4.0 * t * dq0 * (a * w0 + nu0 * t), q0, dq0
 
 
 def _foot_point_valid(w0, g_q0, nu0, t) -> bool:
@@ -801,118 +935,23 @@ def _foot_point_valid(w0, g_q0, nu0, t) -> bool:
     return all((w0 + b * s + c * s * s).real < 0 for s in crossings if 0.0 <= s <= t)
 
 
-def _foot_newton(g_q0, nu0, t, target, w0):
-    """Newton on w(t; w0) = target from w0; None when it stalls."""
-    for _ in range(40):
-        wt, dw, _ = _characteristic_end(g_q0, nu0, t, w0)
-        if dw == 0:
-            return None
-        step = (wt - target) / dw
-        w0 = w0 - step
-        if not cmath.isfinite(step):
-            return None
-        if abs(step) <= 1e-13 * max(1.0, abs(w0)):
-            return w0
-    return None
-
-
 def _dunkl_foot_point(g_q0, nu0: float, t: float, z: complex):
-    """Foot point z0 and q0 = G_Q0(z0^2) of the characteristic through z (Im z > 0).
-
-    Solves w(t; w0) = z^2 for w0 = z0^2 by Newton, continued down the
-    vertical segment from x + iY (Y >= 4) to z; a step is halved when
-    Newton stalls or lands on a root whose path leaves the half-plane.
-    """
-    top = max(4.0, z.imag)
-    y, h = top, top - z.imag
-    zc = complex(z.real, top)
-    # far from the support G_even ~ 1/z, so w(t) ~ w0 + (4 + 2 nu0) t
-    w0 = _foot_newton(g_q0, nu0, t, zc * zc, zc * zc - (4.0 + 2.0 * nu0) * t)
-    if w0 is None or not _foot_point_valid(w0, g_q0, nu0, t):
-        raise FreeProbDomainError(f"no characteristic foot point found above z = {z}")
-    while y > z.imag:
-        y_next = max(z.imag, y - h)
-        w = _foot_newton(g_q0, nu0, t, complex(z.real, y_next) ** 2, w0)
-        if w is not None and _foot_point_valid(w, g_q0, nu0, t):
-            w0, y, h = w, y_next, 2.0 * h
-        elif h < 1e-12 * top:
-            raise FreeProbDomainError(f"characteristic foot-point continuation stalled at z = {z}")
-        else:
-            h /= 2.0
-    wt, _, q0 = _characteristic_end(g_q0, nu0, t, w0)
-    if abs(wt - z * z) > 1e-12 * max(1.0, abs(z) ** 2):
-        raise FreeProbDomainError(f"characteristic foot point off by {abs(wt - z * z):.3g} at z = {z}")
-    z0 = cmath.sqrt(w0)
-    return (z0 if z0.imag > 0 else -z0), q0
+    """Foot point w0 = z0^2 of the Dunkl characteristic through z, and its end values."""
+    return _foot_point(
+        lambda w0: _characteristic_end(g_q0, nu0, t, w0),
+        lambda w0: _foot_point_valid(w0, g_q0, nu0, t),
+        lambda zc: zc * zc,
+        z,
+        lambda zc: zc * zc - (4.0 + 2.0 * nu0) * t,
+    )
 
 
-def _dunkl_characteristic_g(mu0_law: LimitLaw, g_q0, nu0: float, t: float, z: complex):
-    """(G_even, G_odd) at (t, z), Im z > 0, from the foot point of the characteristic.
-
-    G_even(t, z) = z q(t) = z q0/(1 + 2 t q0), and the odd part is constant
-    along the characteristic: G_odd(t, z) = (G_mu0(z0) + G_mu0(-z0))/2.
-    """
-    z0, q0 = _dunkl_foot_point(g_q0, nu0, t, z)
-    if z0.imag * z.imag <= 0:
-        raise FreeProbDomainError("characteristic crossed the real axis")
-    g_even = z * q0 / (1.0 + 2.0 * t * q0)
-    return g_even, 0.5 * (stieltjes(mu0_law, z0) + stieltjes(mu0_law, -z0))
-
-
-def dunkl_limit_stieltjes(mu0, nu0: float, t: float, z: complex, L: int = 24) -> complex:
-    """Stieltjes transform of the full-space jump-system limit law at time t.
-
-    For nu0 = 0 this is the closed composition
-    G(t, z) = G_mu0( G_even^{-1}( G_{sc(2 sqrt(2t)) boxplus mu0_even}(z) ) );
-    for nu0 > 0 the odd part is constant along the characteristics
-    dz/ds = nu0/z + 2 G_even(s, z) of its linear transport equation, which
-    are integrated in closed form and traced back to their foot point at
-    s = 0 (they move away from the real axis).
-    """
+def dunkl_limit_stieltjes(mu0, nu0: float, t: float, z: complex) -> complex:
+    """Stieltjes transform of the full-space jump-system limit law at time t (:class:`DunklLaw`)."""
     z = complex(z)
     if z.imag == 0:
         raise ValueError("z must be off the real axis")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    mu0_law = mu0 if isinstance(mu0, LimitLaw) else moment_law(mu0)
-    if t == 0:
-        return stieltjes(mu0_law, z)
-
-    m0 = mu0_law.moments(2 * L) if mu0_law.kind != "quartercircle" else list(
-        quartercircle_moments(2 * L)
-    )
-    if mu0_law.kind == "quartercircle":
-        mu_even = semicircle(2.0)
-    elif all(v == 0 for l, v in enumerate(m0) if l % 2):
-        mu_even = mu0_law  # already even
-    else:
-        mu_even = moment_law(even_part_moments(m0))
-
-    if nu0 == 0:
-        if mu_even.kind == "semicircle":
-            r0 = mu_even.params["r"]
-            mixed = semicircle(math.sqrt(8.0 * t + r0 * r0))
-        else:
-            mixed = moment_law(
-                [float(v) for v in free_add(semicircle_moments(8.0 * t, 2 * L), even_part_moments(m0), 2 * L)]
-            )
-        w = stieltjes(mixed, z)
-        if w.imag * z.imag >= 0:
-            raise FreeProbDomainError("even transform lost the Herglotz sign")
-        u = _even_law_inverse_g(mu_even, w, 1.0 / w)
-        if mu0_law.kind == "quartercircle" and u.imag < 0:
-            # branch guard: the composition maps the upper half-plane into itself
-            u = u.conjugate()
-        return stieltjes(mu0_law, u)
-
-    # nu0 > 0: closed-form characteristics in the upper half-plane, G(conj z) = conj G(z).
-    g_q0 = _squared_start_transform(mu_even, m0)
-    below = z.imag < 0
-    g_even, g_odd = _dunkl_characteristic_g(mu0_law, g_q0, nu0, t, z.conjugate() if below else z)
-    g = g_even + g_odd
-    if not g.imag < 0:
-        raise FreeProbDomainError(f"characteristic route lost the Herglotz sign at z = {z}")
-    return g.conjugate() if below else g
+    return dunkl_limit_law(mu0, nu0, t).cauchy(z)[0]
 
 
 def quartercircle_dunkl_density(t: float, x) -> np.ndarray:

@@ -244,3 +244,133 @@ def test_limit_law_semicircle_start_is_closed_form(tmp_path):
     exact = 2 / (math.pi * r * r) * np.sqrt(np.maximum(r * r - rows[:, 0] ** 2, 0.0))
     assert np.abs(rows[:, 1] - exact).max() < 1e-12
     assert abs(np.trapezoid(rows[:, 1], rows[:, 0]) - 1.0) < 1e-3
+
+
+def _limit_law_report(capsys, args, out):
+    assert main(args + ["--out", str(out)]) == 0
+    report = re.search(
+        r"inversion: (\d+) of (\d+) points flagged, clipped negative mass (\S+), total mass (\S+)",
+        capsys.readouterr().out,
+    )
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    return int(report.group(1)), float(report.group(4)), rows
+
+
+def test_limit_law_a_quartercircle_start_has_unit_mass(tmp_path, capsys):
+    args = ["limit-law", "--kind", "a", "--mu", "quartercircle", "--t", "0.5"]
+    flagged, mass, rows = _limit_law_report(capsys, args, tmp_path / "a.csv")
+    assert flagged == 0 and abs(mass - 1.0) < 1e-3
+    assert abs(np.trapezoid(rows[:, 1], rows[:, 0]) - 1.0) < 1e-3
+
+
+def test_limit_law_b_quartercircle_start_writes_a_density(tmp_path, capsys):
+    args = ["limit-law", "--kind", "b", "--mu", "quartercircle", "--nu0", "1", "--t", "0.5"]
+    flagged, mass, rows = _limit_law_report(capsys, args, tmp_path / "b.csv")
+    assert flagged == 0 and abs(mass - 1.0) < 1e-2
+    assert np.all(rows[rows[:, 0] < 0, 1] == 0.0) and np.all(rows[:, 1] >= 0)
+
+
+@pytest.mark.parametrize(
+    "kind,nu0", [("a", "0"), ("b", "0"), ("b", "1"), ("dunkl", "0"), ("dunkl", "1")]
+)
+@pytest.mark.parametrize("mu", ["delta0", "quartercircle", "semicircle:1.5"])
+def test_limit_law_every_kind_and_start_has_unit_mass(tmp_path, capsys, kind, nu0, mu):
+    # the default grid -4:4:401 covers every support here; a half-line law's
+    # jump at x = 0 costs up to h f(0+)/2 of trapezoid mass
+    args = ["limit-law", "--kind", kind, "--mu", mu, "--nu0", nu0, "--t", "0.5"]
+    flagged, _, rows = _limit_law_report(capsys, args, tmp_path / "d.csv")
+    assert flagged == 0
+    assert abs(np.trapezoid(rows[:, 1], rows[:, 0]) - 1.0) < 1e-2
+
+
+@pytest.mark.parametrize("command", ["limit-moments", "limit-law"])
+@pytest.mark.parametrize(
+    "mu,message",
+    [
+        ("semicircle:abc", "could not convert"),
+        ("semicircle:-1", "radius must be finite and nonnegative"),
+        ("missing.csv", "missing.csv"),
+        ("halfcircle", "unknown start measure"),
+    ],
+)
+def test_bad_start_measure_exits_with_message(tmp_path, monkeypatch, command, mu, message):
+    monkeypatch.chdir(tmp_path)
+    flag = "--system" if command == "limit-moments" else "--kind"
+    argv = [command, flag, "a", "--mu", mu, "--t", "0.5", "--out", str(tmp_path / "o.csv")]
+    with pytest.raises(SystemExit, match=f"--mu {mu}: .*{message}"):
+        main(argv)
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("system", ["a", "dunkl"])
+def test_limit_moments_start_lists_are_unchanged(tmp_path, system):
+    from besselsim.freeprob import quartercircle_moments, semicircle_moments
+    from besselsim.moments import limit_moments_a, limit_moments_dunkl
+
+    L, t = 8, 0.5
+    recurrence = {"a": limit_moments_a, "dunkl": lambda c, t, L: limit_moments_dunkl(c, 0.0, t, L)}[system]
+    starts = {
+        "delta0": [1.0] + [0.0] * (2 * L),
+        "quartercircle": list(quartercircle_moments(2 * L)),
+        "semicircle:1.5": [float(v) for v in semicircle_moments(1.5 * 1.5, 2 * L)],
+    }
+    for mu, c0 in starts.items():
+        out = tmp_path / "m.csv"
+        argv = ["limit-moments", "--system", system, "--mu", mu, "--t", str(t), "--order", str(L)]
+        assert main(argv + ["--out", str(out)]) == 0
+        expect = [f"{float(v):.17g}" for v in recurrence(c0[: L + 1], t, L).values]
+        assert [line.split(",")[1] for line in out.read_text().split()[1:]] == expect
+
+
+def test_limit_moments_b_takes_the_squared_start(tmp_path):
+    from besselsim.freeprob import limit_law_b, quartercircle_law
+
+    out = tmp_path / "m.csv"
+    argv = ["limit-moments", "--system", "b", "--mu", "quartercircle", "--nu0", "1", "--t", "0.5"]
+    assert main(argv + ["--order", "6", "--out", str(out)]) == 0
+    vals = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+    law = limit_law_b(quartercircle_law(), 1.0, 0.5).sq_law
+    assert np.allclose(vals, law.moments(6), rtol=1e-12)
+
+
+def test_limit_law_csv_start_reports_gauss_depth(tmp_path, capsys):
+    mfile = tmp_path / "m.csv"
+    mfile.write_text("\n".join(str(v) for v in [1, 0, 1, 0, 2, 0, 5]) + "\n")  # sc(2) up to m_6
+    out = tmp_path / "d.csv"
+    args = ["limit-law", "--kind", "a", "--mu", str(mfile), "--t", "0.5", "--out", str(out)]
+    assert main(args) == 0
+    assert f"--mu {mfile}: Gauss rule of depth K = 3" in capsys.readouterr().out
+
+
+def _write_sc2_moments(path):
+    path.write_text("\n".join(str(v) for v in [1, 0, 1, 0, 2, 0, 5]) + "\n")  # sc(2) up to m_6
+
+
+def test_limit_moments_csv_start_uses_the_file_moments(tmp_path):
+    from besselsim.freeprob import Atoms, atoms_from_moments
+    from besselsim.moments import limit_moments_a, limit_moments_b
+
+    mfile, out = tmp_path / "m.csv", tmp_path / "o.csv"
+    _write_sc2_moments(mfile)
+    c0 = [1.0, 0.0, 1.0, 0.0, 2.0, 0.0, 5.0]
+    # the Gauss rule of these moments (K = 3) has m_6 = 4, not the file's 5
+    assert Atoms(*atoms_from_moments(c0)).moment(6) == pytest.approx(4.0)
+    for system, expect in [
+        ("a", limit_moments_a(c0, 0.5, 6)),
+        ("b", limit_moments_b([1.0, 1.0, 2.0, 5.0], 1.0, 0.5, 3)),
+    ]:
+        order = "6" if system == "a" else "3"
+        argv = ["limit-moments", "--system", system, "--mu", str(mfile), "--nu0", "1", "--t", "0.5"]
+        assert main(argv + ["--order", order, "--out", str(out)]) == 0
+        got = [line.split(",")[1] for line in out.read_text().split()[1:]]
+        assert got == [f"{float(v):.17g}" for v in expect.values]
+
+
+@pytest.mark.parametrize("system,order", [("a", "7"), ("b", "4")])
+def test_limit_moments_csv_start_shorter_than_the_order_fails(tmp_path, system, order):
+    mfile, out = tmp_path / "m.csv", tmp_path / "o.csv"
+    _write_sc2_moments(mfile)
+    argv = ["limit-moments", "--system", system, "--mu", str(mfile), "--t", "0.5", "--order", order]
+    with pytest.raises(SystemExit, match="need initial moments up to the requested order"):
+        main(argv + ["--out", str(out)])
+    assert not out.exists()

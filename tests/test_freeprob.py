@@ -133,9 +133,9 @@ def test_square_then_sqrt_is_identity_on_halfline_laws():
 
 def test_square_pushforward_of_semicircle_is_mp():
     law = fp.square_pushforward(fp.semicircle(2 * math.sqrt(0.7)))
-    assert law.kind == "mp"
-    assert law.params["c"] == pytest.approx(1.0)
-    assert law.params["t"] == pytest.approx(0.7)
+    assert isinstance(law, fp.MarchenkoPastur)
+    assert law.c == pytest.approx(1.0)
+    assert law.t == pytest.approx(0.7)
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +219,12 @@ def test_mp_law_density_and_atom():
 def test_limit_law_a_cases():
     # delta_0 start gives the pure semicircle
     law = fp.limit_law_a([1.0] + [0.0] * 12, 0.7)
-    assert law.kind == "semicircle" and law.params["r"] == pytest.approx(2 * math.sqrt(0.7))
+    assert isinstance(law, fp.Semicircle) and law.r == pytest.approx(2 * math.sqrt(0.7))
     # semicircle start: radii add in quadrature
-    law = fp.limit_law_a(fp.semicircle(2 * math.sqrt(0.3)), 0.7, L=12)
-    assert law.kind == "semicircle" and law.params["r"] == pytest.approx(2.0, rel=1e-15)
+    law = fp.limit_law_a(fp.semicircle(2 * math.sqrt(0.3)), 0.7)
+    assert isinstance(law, fp.Semicircle) and law.r == pytest.approx(2.0, rel=1e-15)
     ref = fp.semicircle_moments(4.0, 12)
-    assert np.abs(np.array(law.moments_[:13]) - np.array([float(v) for v in ref])).max() < 1e-10
+    assert np.abs(np.array(law.moments(12)) - np.array([float(v) for v in ref])).max() < 1e-10
     # t = 0 returns the start
     mu0 = fp.quartercircle_law()
     assert fp.limit_law_a(mu0, 0.0) is mu0
@@ -233,9 +233,9 @@ def test_limit_law_a_cases():
 def test_limit_law_b_cases():
     # delta_0 start: sqrt(MP(1 + nu0, t))
     law = fp.limit_law_b([1.0] + [0.0] * 24, 1.0, 0.5)
-    assert law.kind == "sqrt" and law.sq_law.kind == "mp"
-    assert law.sq_law.params["c"] == pytest.approx(2.0)
-    assert law.sq_law.params["t"] == pytest.approx(0.5)
+    assert isinstance(law, fp.SquareRoot) and isinstance(law.sq_law, fp.MarchenkoPastur)
+    assert law.sq_law.c == pytest.approx(2.0)
+    assert law.sq_law.t == pytest.approx(0.5)
     # squared-side moments match the recurrence route (Catalans at nu0=0)
     law0 = fp.limit_law_b([1.0] + [0.0] * 24, 0.0, 1.0)
     for l in range(6):
@@ -272,9 +272,10 @@ def test_stieltjes_examples():
 
 
 def test_stieltjes_series_vs_quadrature_consistency():
-    law = fp.limit_law_a(fp.quartercircle_law(), 0.5, L=32)
+    law = fp.limit_law_a(fp.quartercircle_law(), 0.5)
     z = 8 + 0.5j
-    series = sum(law.moments_[l] / z ** (l + 1) for l in range(33))
+    moments = law.moments(32)
+    series = sum(moments[l] / z ** (l + 1) for l in range(33))
     assert abs(law.stieltjes(z) - series) < 1e-10
 
 
@@ -298,7 +299,8 @@ def test_herglotz_sign_everywhere():
 def test_mp_stieltjes_closed_vs_series():
     mp = fp.marchenko_pastur(2.0, 1.0)
     z = 11 + 2j
-    series = sum(mp.moments_[l] / z ** (l + 1) for l in range(40))
+    moments = mp.moments(39)
+    series = sum(moments[l] / z ** (l + 1) for l in range(40))
     assert abs(mp.stieltjes(z) - series) < 1e-9
 
 
@@ -374,15 +376,14 @@ def test_dunkl_characteristics_match_series_large_z():
         ms = limit_moments_dunkl(c0, nu0, t, 40)
         for z in (6 + 1j, -5 + 2j, 7 - 1.5j):
             series = sum(float(ms.values[l]) / z ** (l + 1) for l in range(41))
-            g = fp.dunkl_limit_stieltjes(qc, nu0, t, z, L=20)
+            g = fp.dunkl_limit_stieltjes(qc, nu0, t, z)
             assert abs(g - series) < 1e-8
 
 
 def _qc_characteristic_g(nu0):
     """(t, z) -> (G_even, G_odd) of the quartercircle start by the foot-point route."""
     qc = fp.quartercircle_law()
-    g_q0 = fp._squared_start_transform(fp.semicircle(2.0), None)
-    return lambda t, z: fp._dunkl_characteristic_g(qc, g_q0, nu0, t, z)
+    return lambda t, z: fp.DunklLaw(qc, nu0, t).characteristic(z)[0]
 
 
 def test_dunkl_foot_point_route_at_nu0_zero_equals_composition():
@@ -397,12 +398,14 @@ def test_dunkl_foot_point_route_at_nu0_zero_equals_composition():
 
 
 def test_dunkl_foot_point_rejects_roots_whose_path_leaves_the_half_plane():
-    g_q0 = fp._squared_start_transform(fp.semicircle(2.0), None)
+    g_q0 = fp.semicircle(2.0).squared().cauchy
     nu0, t, z = 1.0, 0.5, 1 + 0.5j
-    z0, _ = fp._dunkl_foot_point(g_q0, nu0, t, z)
+    w0, _ = fp._dunkl_foot_point(g_q0, nu0, t, z)
+    z0 = cmath.sqrt(w0) if cmath.sqrt(w0).imag > 0 else -cmath.sqrt(w0)
     assert z0.imag > z.imag and fp._foot_point_valid(z0 * z0, g_q0, nu0, t)
     # w(t; w0) = z^2 has another root in the lower half-plane of w
-    spurious = fp._foot_newton(g_q0, nu0, t, z * z, -0.1 - 0.5j)
+    end_map = lambda w: fp._characteristic_end(g_q0, nu0, t, w)  # noqa: E731
+    spurious = fp._newton(end_map, z * z, -0.1 - 0.5j)
     assert abs(fp._characteristic_end(g_q0, nu0, t, spurious)[0] - z * z) < 1e-12
     assert abs(cmath.sqrt(spurious) ** 2 - z0 * z0) > 0.1
     assert not fp._foot_point_valid(spurious, g_q0, nu0, t)
@@ -458,8 +461,8 @@ def test_dunkl_even_part_agrees_with_b_composite():
     # composite of the type B theory
     qc = fp.quartercircle_law()
     t, nu0 = 0.5, 1.0
-    law = fp.dunkl_limit_law(qc, nu0, t, L=16)
-    even = law.params["even_law"]
+    law = fp.dunkl_limit_law(qc, nu0, t)
+    even = law.even_law
     sq0 = fp.even_part_moments(list(fp.quartercircle_moments(32)))
     half = [sq0[2 * l] for l in range(17)]
     ref = limit_moments_b(half, nu0, 2 * t, 16).floats()
@@ -551,13 +554,169 @@ def test_limit_laws_match_recurrence_moments():
 
     qc = fp.quartercircle_law()
     t = 0.75
-    law = fp.limit_law_a(qc, t, L=10)
+    law = fp.limit_law_a(qc, t)
     ref = rec_a(list(fp.quartercircle_moments(10)), t, 10).floats()
     got = np.array(law.moments(10))
     assert np.abs(got - ref).max() < 1e-10
 
-    lawb = fp.limit_law_b(qc, 1.0, t, L=8)
+    lawb = fp.limit_law_b(qc, 1.0, t)
     c0sq = [float(fp.quartercircle_moments(16)[2 * l]) for l in range(9)]
     refb = rec_b(c0sq, 1.0, t, 8).floats()
     gotb = np.array([lawb.sq_law.moment(l) for l in range(9)])
     assert np.abs(gotb - refb).max() < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# closed forms and the characteristic (foot-point) route of every law
+# ---------------------------------------------------------------------------
+
+
+def _series(moments, z):
+    return sum(m / z ** (l + 1) for l, m in enumerate(moments))
+
+
+def test_quartercircle_transform_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    qc = fp.quartercircle_law()
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        z = complex(rng.uniform(-4, 4), rng.choice([-1, 1]) * 10 ** rng.uniform(-6, 0.5))
+        zz = mpmath.mpc(z.real, z.imag)
+        cuts = [0.0, z.real, 2.0] if 0 < z.real < 2 else [0.0, 2.0]
+        f = lambda x, p: mpmath.sqrt(4 - x * x) / mpmath.pi / (zz - x) ** p  # noqa: E731
+        g_ref = complex(mpmath.quad(lambda x: f(x, 1), cuts))
+        dg_ref = -complex(mpmath.quad(lambda x: f(x, 2), cuts))
+        g, dg = qc.cauchy(z)
+        assert abs(g - g_ref) <= 1e-11 * abs(g_ref)
+        assert abs(dg - dg_ref) <= 1e-11 * abs(dg_ref)
+
+
+@pytest.mark.parametrize("c,t", [(2.0, 0.5), (1.0, 1.0), (0.5, 1.0), (3.3, 0.2)])
+def test_mp_cdf_closed_form_matches_quad(c, t):
+    mp = fp.marchenko_pastur(c, t)
+    xm, xp = t * (math.sqrt(c) - 1) ** 2, t * (math.sqrt(c) + 1) ** 2
+    for x in np.linspace(-0.5, xp + 0.5, 29):
+        cont = quad(mp.density, xm, min(max(x, xm), xp), limit=200)[0]
+        expect = (mp.atom_at_zero() if x >= 0 else 0.0) + cont
+        assert abs(mp.cdf(x) - expect) < 1e-9
+
+
+def test_beta_law_closed_moments_and_transform():
+    law = fp.beta_law(0.5, 1.5)
+    for l in range(6):
+        ref = quad(lambda x: x**l * beta_dist.pdf(x, 0.5, 1.5), 0, 1, limit=200)[0]
+        assert law.moment(l) == pytest.approx(ref, rel=1e-8)
+    for z in (2 + 1j, 0.5 + 0.1j, -1 + 0.3j):
+        ref = quad(lambda x: (beta_dist.pdf(x, 0.5, 1.5) / (z - x)).real, 0, 1, limit=400)[0]
+        ref += 1j * quad(lambda x: (beta_dist.pdf(x, 0.5, 1.5) / (z - x)).imag, 0, 1, limit=400)[0]
+        assert abs(law.stieltjes(z) - ref) < 1e-9
+    xs = np.linspace(-0.1, 1.1, 13)
+    assert np.abs(law.cdf(xs) - beta_dist.cdf(xs, 0.5, 1.5)).max() < 1e-12
+
+
+def test_half_line_square_root_transform_matches_quad():
+    law = fp.sqrt_law(fp.marchenko_pastur(1.0, 0.5))
+    edge = law.support_radius()
+    for z in (1 + 0.5j, -0.01 + 0.05j, 0.3 + 0.05j, -3 + 0.1j, 5j, 0.8 - 0.2j):
+        f = lambda x: law.density(x) / (z - x)  # noqa: E731
+        ref = quad(lambda x: f(x).real, 0, edge, limit=400)[0] + 1j * quad(lambda x: f(x).imag, 0, edge, limit=400)[0]
+        g, dg = law.cauchy(z)
+        assert abs(g - ref) < 1e-10
+        h = 1e-6
+        assert abs(dg - (law.cauchy(z + h)[0] - law.cauchy(z - h)[0]) / (2 * h)) < 1e-7
+    with pytest.raises(fp.FreeProbDomainError):
+        law.moment(1)
+
+
+def test_type_a_far_field_matches_moment_series():
+    from besselsim.moments import limit_moments_a
+
+    starts = [fp.quartercircle_law(), fp.atom_law([0.3, -1.0, 1.7], [0.2, 0.5, 0.3])]
+    for mu0 in starts:
+        for t in (0.5, 1.0):
+            law = fp.limit_law_a(mu0, t)
+            assert isinstance(law, fp.FreeConvA)
+            rec = limit_moments_a(mu0.moments(60), t, 60).floats()
+            for z in (8 + 1j, -7 + 3j, 6j, 9 - 2j):
+                assert abs(law.stieltjes(z) - _series(rec, z)) < 1e-10
+
+
+def test_type_b_far_field_matches_moment_series():
+    from besselsim.moments import limit_moments_b
+
+    qc = fp.quartercircle_law()
+    c0sq = qc.squared().moments(60)
+    for nu0, t in ((1.0, 0.5), (0.5, 0.25), (2.0, 1.0)):
+        sq = fp.limit_law_b(qc, nu0, t).sq_law
+        assert isinstance(sq, fp.FreeConvB)
+        rec = limit_moments_b(c0sq, nu0, t, 60).floats()
+        for w in (25 + 3j, 30 - 5j, -20 + 1j):
+            assert abs(sq.stieltjes(w) - _series(rec, w)) < 1e-10
+
+
+def test_burgers_and_transport_residuals_near_the_axis():
+    qc = fp.quartercircle_law()
+    # central differences with h = 1e-5: the O(h^2) truncation is ~1e-10 here
+    g_a = lambda t, z: fp.limit_law_a(qc, t).stieltjes(z)  # noqa: E731
+    points = [(0.5, complex(x, 0.3)) for x in (-1.5, 0.2, 1.0, 2.5)]
+    assert fp.pde_residual("burgers_a", g_a, points, h=1e-5)["max_abs"] <= 1e-8
+    for nu0 in (0.0, 1.0):
+        g_b = lambda t, w: fp.limit_law_b(qc, nu0, t).sq_law.stieltjes(w)  # noqa: E731
+        points = [(0.5, complex(x, 0.3)) for x in (0.5, 2.0, 4.0, 7.0)]
+        res = fp.pde_residual("transport_b", g_b, points, nu0=nu0, h=1e-5)
+        assert res["max_abs"] <= 1e-8
+
+
+def test_composite_cdf_integrates_the_inverted_density():
+    # FreeConvA run on a semicircle start must give the closed semicircle
+    law = fp.FreeConvA(fp.semicircle(1.5), 0.7)
+    exact = fp.semicircle(math.sqrt(1.5**2 + 4 * 0.7))
+    xs = np.linspace(-2.5, 2.5, 41)
+    assert np.abs(law.cdf(xs) - exact.cdf(xs)).max() < 1e-3
+    assert np.abs(law.density(xs) - exact.density(xs)).max() < 1e-3
+    # laws keep no state between evaluations
+    before = dict(vars(law))
+    law.cdf(xs), law.stieltjes(0.3 + 0.1j), law.moments(8)
+    assert vars(law) == before
+
+
+def test_composite_derivatives_match_finite_differences():
+    qc = fp.quartercircle_law()
+    laws = [
+        fp.limit_law_a(qc, 0.5),
+        fp.limit_law_b(qc, 1.0, 0.5).sq_law,
+        fp.dunkl_limit_law(qc, 0.0, 0.5),
+        fp.dunkl_limit_law(qc, 1.0, 0.5),
+        fp.sqrt_law(fp.limit_law_b(qc, 1.0, 0.5).sq_law, symmetrized=True),
+    ]
+    h = 1e-6
+    for law in laws:
+        for z in (0.7 + 0.4j, -1.2 + 0.3j, 2.5 - 0.5j):
+            fd = (law.cauchy(z + h)[0] - law.cauchy(z - h)[0]) / (2 * h)
+            assert abs(law.cauchy(z)[1] - fd) < 1e-6 * max(1.0, abs(fd))
+
+
+def test_symmetrized_sqrt_law_keeps_its_closed_density():
+    sq = fp.marchenko_pastur(2.0, 0.5)
+    grid = np.linspace(-3.0, 3.0, 401)
+    sd = fp.sqrt_law(sq, symmetrized=True).spectral_density(grid)
+    assert np.array_equal(sd.density, np.abs(grid) * sq.density(grid * grid))
+    assert not sd.diverged.any() and sd.atoms == []
+    # atoms of the square split evenly between +-sqrt(y)
+    sd = fp.sqrt_law(fp.atom_law([1.0, 4.0]), symmetrized=True).spectral_density(np.linspace(-3, 3, 13))
+    assert sorted(loc for loc, _ in sd.atoms) == [-2.0, -1.0, 1.0, 2.0]
+    assert all(w == pytest.approx(0.25, abs=1e-8) for _, w in sd.atoms)
+
+
+def test_atoms_cauchy_matches_the_sum_over_atoms():
+    rng = np.random.default_rng(5)
+    locs, weights = rng.standard_normal(100), rng.dirichlet(np.ones(100))
+    law = fp.atom_law(locs, weights)
+    for z in (0.3 + 1e-3j, -1.2 + 0.5j, 4 - 2j):
+        terms = [w / (z - x) for x, w in zip(locs, weights)]
+        g, dg = law.cauchy(z)
+        # float64 sums in another order agree to a few ulps of the sum of |terms|
+        assert abs(g - sum(terms)) <= 1e-13 * sum(abs(v) for v in terms)
+        d_terms = [-w / (z - x) ** 2 for x, w in zip(locs, weights)]
+        assert abs(dg - sum(d_terms)) <= 1e-13 * sum(abs(v) for v in d_terms)

@@ -112,6 +112,14 @@ def test_frozen_a_limit_preset():
     assert rep.passed
 
 
+def test_frozen_a_limit_ks_is_hard_against_the_free_convolution():
+    # KS against sc(2 sqrt t) boxplus mu_emp(x0), the limit law of the start's atoms
+    rep = run_experiment({"preset": "frozen-a-limit"})
+    ks = [r for r in rep.rows if r["metric"] == "ks"]
+    assert len(ks) == 4 and all(r["hard"] and r["passed"] for r in ks)
+    assert all(r["value"] <= 0.02 for r in ks)
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(ValueError):
         run_experiment({"preset": "not-a-preset"})
