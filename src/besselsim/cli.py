@@ -96,6 +96,14 @@ def _cmd_simulate(args):
         grid = _record_grid(args.t, args.dt)
     except ValueError:
         raise SystemExit(f"simulate needs --t >= 0 and --dt > 0, got --t {args.t:g} --dt {args.dt:g}")
+    # the record grid splits [0, t] into round(t/dt) equal steps
+    spacing = args.t / (grid.size - 1) if grid.size > 1 else None
+    if spacing is not None and abs(spacing - args.dt) > 1e-12 * args.dt:
+        print(
+            f"simulate: --t {args.t:g} is not a multiple of --dt {args.dt:g}; "
+            f"states are recorded at spacing {spacing:.12g}",
+            file=sys.stderr,
+        )
     record = (
         [float(v) for v in args.record.split(",")] if args.record else [args.t]
     )
@@ -117,11 +125,16 @@ def _cmd_simulate(args):
         "dunkl-b": lambda s: simulate_dunkl_b(x0, args.nu, beta, args.t, args.dt, s),
     }[args.system]
     runs = {}
+    diagnostics = []
     for r in range(args.replicas):
         try:
             path = run_one(RngStream(args.seed, r))
         except ValueError as err:
             raise SystemExit(f"simulate: {err}")
+        # strict JSON has no infinity (the gap of a single particle): write "inf"
+        diagnostics.append(
+            {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v for k, v in path.diagnostics.items()}
+        )
         for t_rec, idx in record_idx.items():
             runs.setdefault(t_rec, []).append(path.states[idx])
     out = Path(args.out)
@@ -141,6 +154,8 @@ def _cmd_simulate(args):
         "replicas": args.replicas,
         "seed": args.seed,
         "record": record,
+        "record_spacing": spacing,
+        "diagnostics": diagnostics,
     }
     from . import __version__
 

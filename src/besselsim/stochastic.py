@@ -11,17 +11,19 @@ never hit the walls, so this only corrects scheme overshoot, and the
 pre-projection violation is tracked with the sub-step and flow counts.
 
 The full-space jump dynamics of type B superpose reflection jumps on the
-type B drift.  Jumps are sampled by first-event thinning: the next jump
-time is exponential in the total reflection rate frozen at the window
-start, and the firing reflection is drawn proportionally to its rate;
-refreshing the rates at every event and at least once per dt bounds the
-bias by the rate drift over a window.  At infinite inverse temperature
-the absolute values of the coordinates evolve deterministically (jumps
-only permute them and flip signs), so the frozen simulator integrates
-that envelope with the adaptive ODE solver once per (|x0|, nu, T, dt),
-reuses it across seeds and replicas, and overlays the jumps, keeping
-even power sums bit-identical across seeds.  At finite beta,
-operator splitting (drift, diffusion, jumps) is used.
+type B drift.  At infinite inverse temperature the absolute values of the
+coordinates evolve deterministically (jumps only permute them and flip
+signs), so the frozen simulator integrates that envelope with the
+adaptive ODE solver once per (|x0|, nu, T, dt), reuses it across seeds
+and replicas, and keeps even power sums bit-identical across seeds.  Its
+jumps are sampled exactly in slot space (the envelope's sorted
+magnitudes, one sign per slot and a label map) by Lewis-Shedler thinning
+against rate bounds that hold over each record interval, because the
+envelope is linear between its nodes; each proposal is accepted with the
+exact rate of its reflection at the interpolated envelope.  At finite
+beta, operator splitting (drift, diffusion, jumps) is used, with
+first-event jumps whose rates are frozen at the window start and
+refreshed at every event and at least once per step.
 
 All randomness flows through numpy Generators derived from (seed,
 replica) pairs, so runs are reproducible bit for bit.
@@ -29,6 +31,7 @@ replica) pairs, so runs are reproducible bit for bit.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -50,6 +53,13 @@ from .frozen import IntegrationError, drift_a, drift_b, solve_frozen
 # thinning: their rates are unbounded but the reflections displace the state
 # by less than the threshold, so they are near-identities.
 _JUMP_EXCLUSION = 1e-8
+
+# Jump counters of a frozen Dunkl path: proposals, then accepted jumps by kind.
+_JUMP_COUNTERS = ("proposals", "flips", "sign_swaps", "swaps")
+# Relative excess of an exact jump rate over its thinning bound that is put
+# down to rounding: rates and bounds come from the same envelope nodes, the
+# difference bounds through a cumulative sum of gap minima.
+_BOUND_ROUNDING = 1e-9
 
 # Work counters of an Euler-Maruyama path, summed over transform-mode segments.
 _EM_COUNTERS = ("substeps", "floor_substeps", "pair_flows", "wall_flows", "clipped")
@@ -357,35 +367,6 @@ def simulate_bessel_ou(
     return PathSample(CHAMBER_A, grid, states, stream.seed, stream.replica, diagnostics=diag_all)
 
 
-def dunkl_jump_rates(x, nu: float, include_swaps: bool = True):
-    """Reflection rates at a full-space point x.
-
-    Sign flip of coordinate i fires at nu/(2 x_i^2); the swap of (i, j) at
-    1/(x_i - x_j)^2 and the sign-swap at 1/(x_i + x_j)^2 (each unordered
-    pair aggregates its two ordered generator terms).
-    """
-    x = np.asarray(getattr(x, "coords", x), dtype=float)
-    if np.any(x == 0.0) and nu > 0:
-        raise ValueError("zero coordinate: flip rate undefined")
-    n = x.size
-    rates = []
-    if nu > 0:
-        for i in range(n):
-            rates.append((Reflection("flip", i), nu / (2.0 * x[i] ** 2)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if include_swaps:
-                d = x[i] - x[j]
-                if d == 0.0:
-                    raise ValueError("coincident coordinates: swap rate undefined")
-                rates.append((Reflection("swap", i, j), 1.0 / d**2))
-            s = x[i] + x[j]
-            if s == 0.0:
-                raise ValueError("opposite coordinates: sign-swap rate undefined")
-            rates.append((Reflection("sign_swap", i, j), 1.0 / s**2))
-    return rates
-
-
 @functools.lru_cache(maxsize=8)
 def _pairs(n):
     """Read-only upper-triangle index arrays (i < j) for n coordinates."""
@@ -414,9 +395,12 @@ def _jump_blocks(v, nu, skip_swaps):
 
 
 def _excluded_inverse_square(a):
-    """1/a^2, and 0 where |a| is within the exclusion threshold (never divided)."""
-    sq = a * a
-    return np.divide(1.0, sq, out=np.zeros_like(sq), where=np.abs(a) > _JUMP_EXCLUSION)
+    """1/a^2 in place, and 0 where |a| is within the exclusion threshold (never divided)."""
+    keep = (a > _JUMP_EXCLUSION) | (a < -_JUMP_EXCLUSION)
+    np.multiply(a, a, out=a)
+    np.divide(1.0, a, out=a, where=keep)
+    a[~keep] = 0.0
+    return a
 
 
 def _next_jump(v, nu, skip_swaps, rng, window):
@@ -450,6 +434,150 @@ def _next_jump(v, nu, skip_swaps, rng, window):
     raise AssertionError("unreachable jump category")
 
 
+def _slot_bounds(rho, nu, out):
+    """Jump-rate bounds in slot space over envelope nodes ``rho`` (rows: times).
+
+    A slot is one column of the sorted envelope.  Between nodes the
+    envelope is linear, so over the nodes' span each slot magnitude is at
+    least its smallest node value m_a, and each adjacent gap at least its
+    smallest node gap; cumulative sums d of those gap minima bound the
+    magnitude differences, rho_a - rho_b >= d_b - d_a for a < b.  Returns the
+    flip bounds nu/(2 m_a^2) and the symmetric pair bounds 1/(m_a + m_b)^2
+    (``over_sum``) and 1/(d_b - d_a)^2 (``over_diff``).  The reflection of
+    two equal signs is the sign-swap at rate 1/(rho_a + rho_b)^2 and the swap
+    at 1/(rho_a - rho_b)^2; opposite signs trade the two.  A bound whose
+    distance is within the exclusion threshold is 0, and so is a diagonal.
+    The pair bounds are written into ``out``, two (N, N) arrays reused
+    across calls (fresh arrays of that size cost more than the arithmetic).
+    """
+    m = rho.min(axis=0)
+    d = np.concatenate(([0.0], np.cumsum((rho[:, :-1] - rho[:, 1:]).min(axis=0))))
+    over_sum = _excluded_inverse_square(np.add.outer(m, m, out=out[0]))
+    np.fill_diagonal(over_sum, 0.0)
+    over_diff = _excluded_inverse_square(np.subtract.outer(d, d, out=out[1]))
+    return 0.5 * nu * _excluded_inverse_square(m), over_sum, over_diff
+
+
+def _slot_move(sigma, labels, kind, a, b=None):
+    """Apply a reflection to the slot state (signs, label of each slot) in place.
+
+    A flip negates sigma_a, a sign-swap negates sigma_a and sigma_b and
+    exchanges their labels, and a swap only exchanges the labels: the
+    magnitudes stay with their slots.
+    """
+    if kind != "swap":
+        sigma[a] = -sigma[a]
+    if kind == "sign_swap":
+        sigma[b] = -sigma[b]
+    if kind != "flip":
+        labels[a], labels[b] = labels[b], labels[a]
+
+
+def _refresh_bounds(w, row, sigma, over_sum, over_diff, c):
+    """Bring row and column c of the sign-swap bounds ``w`` and the row sums to sigma_c."""
+    new = np.where(sigma == sigma[c], over_sum[c], over_diff[c])
+    row += new - w[c]
+    row[c] = new.sum()
+    w[c] = new
+    w[:, c] = new
+
+
+def _check_bound(rate, bound, t):
+    """Raise unless the exact rate of a proposal is within its thinning bound."""
+    if rate > bound * (1.0 + _BOUND_ROUNDING):
+        raise RuntimeError(f"jump rate {rate:.6g} above its thinning bound {bound:.6g} at t={t:.6g}")
+
+
+def _pick(cum, v):
+    """Index whose interval of the running sums ``cum`` holds v in [0, cum[-1])."""
+    i = int(cum.searchsorted(v, "right"))
+    # v rounded up to the total falls on the last positive weight
+    return i if i < cum.size else int(cum.searchsorted(cum[-1]))
+
+
+def _slot_jump_path(rho, grid, times, labels, sigma, nu, skip_swaps, rng):
+    """Frozen Dunkl jumps over the envelope ``rho`` on ``grid``, by exact thinning.
+
+    The state lives in slot space: the envelope's sorted magnitudes, one
+    sign per slot (``sigma``) and the label held by each slot (``labels``),
+    both updated in place.  Per record interval the bounds of
+    ``_slot_bounds`` over its nodes dominate every rate; proposals are drawn
+    from them (Lewis and Shedler, Naval Res. Logist. Q. 26, 1979), a pair
+    by its row sum, then by its entry, and accepted with the exact rate at
+    the linearly interpolated envelope.  A sign change alters one row and
+    one column of the sign-swap bounds, kept with their row sums in O(N).
+    A rate above its bound by more than rounding raises.  Returns the
+    signed states at ``times``, the jump log and the jump counters.
+    """
+    rec = np.searchsorted(grid, times)
+    grid = grid.tolist()
+    states = np.empty((times.size, labels.size))
+    states[0, labels] = sigma * rho[rec[0]]
+    jump_log = []
+    counts = dict.fromkeys(_JUMP_COUNTERS, 0)
+    bufs = np.empty((3, labels.size, labels.size))
+    w = bufs[2]  # proposal bounds: the sign-swap's, or with swaps both kinds'
+    for idx in range(1, times.size):
+        j0, j1 = int(rec[idx - 1]), int(rec[idx])
+        flip, over_sum, over_diff = _slot_bounds(rho[j0 : j1 + 1], nu, bufs[:2])
+        flip_cum = np.cumsum(flip)
+        flip_total = float(flip_cum[-1])
+        nodes = rho[j0 : j1 + 1].tolist()
+        if skip_swaps:
+            np.copyto(w, over_diff)
+            np.copyto(w, over_sum, where=sigma[:, None] == sigma)
+        else:
+            np.add(over_sum, over_diff, out=w)
+        row = w.sum(axis=1)
+        t, t_end = grid[j0], grid[j1]
+        while (total := flip_total + 0.5 * float(row.sum())) > 0.0:
+            t += rng.standard_exponential() / total
+            if t >= t_end:
+                break
+            counts["proposals"] += 1
+            u = rng.random() * total
+            j = bisect.bisect_right(grid, t, j0, j1) - 1
+            s = (t - grid[j]) / (grid[j + 1] - grid[j])
+            lo, hi = nodes[j - j0], nodes[j + 1 - j0]
+            if u < flip_total:
+                a, b = _pick(flip_cum, u), None
+                r = (1.0 - s) * lo[a] + s * hi[a]
+                rate = 0.5 * nu / (r * r)
+                _check_bound(rate, flip[a], t)
+                if rng.random() * flip[a] >= rate:
+                    continue
+                kind = "flip"
+            else:
+                a = _pick(row.cumsum(), 2.0 * (u - flip_total))
+                cw = w[a].cumsum()
+                a, b = sorted((a, _pick(cw, rng.random() * cw[-1])))
+                ra = (1.0 - s) * lo[a] + s * hi[a]
+                rb = (1.0 - s) * lo[b] + s * hi[b]
+                # an excluded reflection has rate 0 (its distance may be 0)
+                r_sum = 1.0 / (ra + rb) ** 2 if over_sum[a, b] > 0.0 else 0.0
+                r_diff = 1.0 / (ra - rb) ** 2 if over_diff[a, b] > 0.0 else 0.0
+                r_sign_swap, r_swap = (r_sum, r_diff) if sigma[a] == sigma[b] else (r_diff, r_sum)
+                if skip_swaps:
+                    r_swap = 0.0
+                _check_bound(r_sign_swap + r_swap, w[a, b], t)
+                v = rng.random() * w[a, b]
+                if v < r_sign_swap:
+                    kind = "sign_swap"
+                elif v < r_sign_swap + r_swap:
+                    kind = "swap"
+                else:
+                    continue
+            ends = (int(labels[a]),) if b is None else sorted((int(labels[a]), int(labels[b])))
+            jump_log.append((t, Reflection(kind, *ends)))
+            counts[kind + "s"] += 1
+            _slot_move(sigma, labels, kind, a, b)
+            if skip_swaps:
+                for c in (a,) if b is None else (a, b):
+                    _refresh_bounds(w, row, sigma, over_sum, over_diff, c)
+        states[idx, labels] = sigma * rho[j1]
+    return states, jump_log, counts
+
+
 @functools.lru_cache(maxsize=1)
 def _dunkl_envelope(mags: bytes, nu: float, grid: bytes):
     """Frozen type B flow of the sorted magnitudes ``mags`` over ``grid``.
@@ -480,9 +608,16 @@ def simulate_dunkl_b(
     seed and replica with the same (|x0|, nu, T, dt): the last solve is
     memoised on the exact bytes of the sorted magnitudes and the envelope
     time grid, plus nu, and its RK step counts are reported as
-    ``rk_accepted`` and ``rk_rejected`` on hits and misses alike.
+    ``rk_accepted`` and ``rk_rejected`` on hits and misses alike.  The
+    jumps are sampled exactly for the linearly interpolated envelope, by
+    thinning in slot space (``_slot_jump_path``); ``diagnostics`` count the
+    ``proposals`` and the accepted ``flips``, ``sign_swaps`` and ``swaps``.
+    A reflection within the exclusion threshold of its hyperplane anywhere
+    in a record interval stays off for that interval, so a nu = 0 start
+    with zero or coincident magnitudes is valid.
     Finite beta uses operator splitting: Euler drift, diffusion with scale
-    1/sqrt(beta), then thinned jumps.
+    1/sqrt(beta), then first-event jumps with rates frozen at the window
+    start.
     """
     if isinstance(nu, MultiplicityB):
         nu, beta = nu.nu, nu.beta
@@ -490,7 +625,6 @@ def simulate_dunkl_b(
     x0 = np.asarray(getattr(x0, "coords", x0), dtype=float)
     rng = stream.generator()
     times = _record_grid(T, dt)
-    jump_log = []
 
     if math.isinf(beta):
         if nu > 0 and np.any(x0 == 0.0):
@@ -501,39 +635,13 @@ def simulate_dunkl_b(
         # Deterministic envelope of |coordinates| on a grid fine enough for
         # linear interpolation of the jump rates.
         n_fine = max(times.size - 1, min(4096, max(256, int(round(T / dt)))))
-        fine = np.linspace(0.0, T, n_fine + 1)
-        env_grid = np.union1d(times, fine)
-        order = np.argsort(np.abs(x0))[::-1]
-        slots_of_label = np.empty(x0.size, dtype=int)
-        slots_of_label[order] = np.arange(x0.size)
-        env = _dunkl_envelope(np.abs(x0)[order].tobytes(), float(nu), env_grid.tobytes())
-        signs = np.where(x0 < 0, -1.0, 1.0)
-
-        def env_at(t):
-            i = np.searchsorted(env_grid, t)
-            if i == 0:
-                return env.states[0]
-            if i >= env_grid.size:
-                return env.states[-1]
-            t0, t1 = env_grid[i - 1], env_grid[i]
-            w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-            return (1.0 - w) * env.states[i - 1] + w * env.states[i]
-
-        states = np.empty((times.size, x0.size))
-        states[0] = signs * env.states[np.searchsorted(env_grid, 0.0)][slots_of_label]
-        t = 0.0
-        for idx in range(1, times.size):
-            t_target = times[idx]
-            while t_target - t > 1e-12 * max(1.0, T):
-                rho = env_at(t)
-                v = signs * rho[slots_of_label]
-                h, refl = _next_jump(v, nu, skip_swaps, rng, min(dt, t_target - t))
-                if refl is not None:
-                    _apply_to_overlay(signs, slots_of_label, refl)
-                    jump_log.append((t + h, refl))
-                t += h
-            rho = env.states[np.searchsorted(env_grid, t_target)]
-            states[idx] = signs * rho[slots_of_label]
+        env_grid = np.union1d(times, np.linspace(0.0, T, n_fine + 1))
+        labels = np.argsort(np.abs(x0))[::-1]
+        env = _dunkl_envelope(np.abs(x0)[labels].tobytes(), float(nu), env_grid.tobytes())
+        states, jump_log, counts = _slot_jump_path(
+            env.states, env_grid, times, labels, np.where(x0[labels] < 0, -1.0, 1.0),
+            nu, skip_swaps, rng,
+        )
         return PathSample(
             FULL_SPACE,
             times,
@@ -546,6 +654,7 @@ def simulate_dunkl_b(
                 "min_gap": env.min_gap,
                 "rk_accepted": env.n_accepted,
                 "rk_rejected": env.n_rejected,
+                **counts,
             },
         )
 
@@ -558,6 +667,7 @@ def simulate_dunkl_b(
         _, mags = _bootstrap_start(np.abs(x)[srt], CHAMBER_B, nu, min(dt, 1e-3))
         x = np.where(x[srt] < 0, -mags, mags)[np.argsort(srt)]
     sigma = 1.0 / math.sqrt(beta)
+    jump_log = []
     states = np.empty((times.size, x.size))
     states[0] = x
     t = 0.0
@@ -589,16 +699,3 @@ def simulate_dunkl_b(
         jump_log=jump_log,
         diagnostics={},
     )
-
-
-def _apply_to_overlay(signs, slots, refl: Reflection):
-    """Apply a reflection to the (sign, envelope slot) overlay in place."""
-    if refl.kind == "flip":
-        signs[refl.i] = -signs[refl.i]
-        return
-    i, j = refl.i, refl.j
-    slots[i], slots[j] = slots[j], slots[i]
-    if refl.kind == "swap":
-        signs[i], signs[j] = signs[j], signs[i]
-    else:
-        signs[i], signs[j] = -signs[j], -signs[i]

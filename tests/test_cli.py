@@ -115,6 +115,34 @@ def test_simulate_frozen_dunkl_zero_start_exits_with_message(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def test_simulate_reports_record_spacing_and_diagnostics(tmp_path, capsys):
+    start = tmp_path / "x0.txt"
+    start.write_text("2\n-1\n0.5\n")
+    argv = ["simulate", "--system", "dunkl-b", "--nu", "1", "--beta", "inf", "--n", "3"]
+    argv += ["--start", str(start), "--replicas", "2", "--t", "0.1"]
+    assert main(argv + ["--dt", "0.07", "--out", str(tmp_path / "coarse")]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "states are recorded at spacing 0.1\n" in err
+    manifest = json.loads((tmp_path / "coarse" / "manifest.json").read_text())
+    assert manifest["dt"] == 0.07 and manifest["record_spacing"] == 0.1
+    diags = manifest["diagnostics"]
+    assert len(diags) == 2 and all(d["frozen"] and d["proposals"] >= d["flips"] + d["sign_swaps"] for d in diags)
+    # a dt that divides t records at that dt, silently
+    assert main(argv + ["--dt", "0.05", "--out", str(tmp_path / "fine")]) == 0
+    assert capsys.readouterr().err == ""
+    manifest = json.loads((tmp_path / "fine" / "manifest.json").read_text())
+    assert manifest["record_spacing"] == 0.05
+    # strict JSON: the infinite gap of a single particle is written as "inf"
+    one = ["simulate", "--system", "bessel-a", "--k", "1", "--n", "1", "--t", "0.1", "--dt", "0.05"]
+    assert main(one + ["--out", str(tmp_path / "one")]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    manifest = json.loads((tmp_path / "one" / "manifest.json").read_text(), parse_constant=refuse)
+    assert manifest["diagnostics"][0]["min_gap"] == "inf"
+
+
 def test_limit_moments_subcommand(tmp_path):
     out = tmp_path / "m.csv"
     rc = main(

@@ -7,13 +7,20 @@ import pytest
 import besselsim.stochastic as st
 import warnings
 
-from besselsim.chambers import CHAMBER_A, CHAMBER_B, FULL_SPACE, Reflection, project_to_chamber
+from besselsim.chambers import (
+    CHAMBER_A,
+    CHAMBER_B,
+    FULL_SPACE,
+    ChamberPoint,
+    Reflection,
+    apply_reflection,
+    project_to_chamber,
+)
 from besselsim.frozen import IntegrationError, drift_a, drift_b, solve_frozen
 from besselsim.stochastic import (
     MultiplicityA,
     MultiplicityB,
     RngStream,
-    dunkl_jump_rates,
     simulate_bessel_a,
     simulate_bessel_b,
     simulate_bessel_ou,
@@ -156,17 +163,107 @@ def test_ou_frozen_long_time_profile():
 
 
 def test_dunkl_jump_rates_examples():
-    rates = dunkl_jump_rates(np.array([2.0]), 1.0)
-    assert rates == [(Reflection("flip", 0), 1.0 / 8.0)]
-    rates = dict(dunkl_jump_rates(np.array([2.0, 1.0]), 0.0))
-    assert rates[Reflection("swap", 0, 1)] == pytest.approx(1.0)
-    assert rates[Reflection("sign_swap", 0, 1)] == pytest.approx(1.0 / 9.0)
-    assert Reflection("flip", 0) not in rates
+    blocks = dict(st._jump_blocks(np.array([2.0]), 1.0, skip_swaps=False))
+    assert blocks["flip"].tolist() == [1.0 / 8.0]
+    assert blocks["sign_swap"].size == blocks["swap"].size == 0
+    blocks = dict(st._jump_blocks(np.array([2.0, 1.0]), 0.0, skip_swaps=False))
+    assert blocks["swap"].tolist() == [pytest.approx(1.0)]
+    assert blocks["sign_swap"].tolist() == [pytest.approx(1.0 / 9.0)]
+    assert "flip" not in blocks
+    assert [kind for kind, _ in st._jump_blocks(np.array([2.0, 1.0]), 1.0, True)] == ["flip", "sign_swap"]
     # invariance under global sign flip
     x = np.array([1.5, -0.7, 0.3])
-    r1 = sorted((str(r), v) for r, v in dunkl_jump_rates(x, 2.0))
-    r2 = sorted((str(r), v) for r, v in dunkl_jump_rates(-x, 2.0))
-    assert r1 == r2
+    for (k1, r1), (k2, r2) in zip(st._jump_blocks(x, 2.0, False), st._jump_blocks(-x, 2.0, False)):
+        assert k1 == k2 and np.array_equal(r1, r2)
+
+
+def _slots(v):
+    """Slot state of a full-space point: sorted magnitudes, their signs, their labels."""
+    labels = np.argsort(np.abs(v))[::-1]
+    return np.abs(v)[labels], np.where(v[labels] < 0, -1.0, 1.0), labels
+
+
+def test_slot_rates_total_the_full_space_rates():
+    rng = np.random.default_rng(5)
+    for n, nu in ((1, 1.5), (2, 0.0), (7, 2.0), (12, 0.5), (40, 3.0)):
+        for _ in range(5):
+            v = rng.uniform(-3.0, 3.0, n)
+            rho, sigma, _ = _slots(v)
+            # one envelope node: the bounds are the rates at that state
+            flip, over_sum, over_diff = st._slot_bounds(rho[None, :], nu, np.empty((2, n, n)))
+            same = sigma[:, None] == sigma
+            upper = np.triu_indices(n, 1)
+            slot = {
+                "flip": flip.sum(),
+                "sign_swap": np.where(same, over_sum, over_diff)[upper].sum(),
+                "swap": np.where(same, over_diff, over_sum)[upper].sum(),
+            }
+            full = {"flip": 0.0} | {k: r.sum() for k, r in st._jump_blocks(v, nu, skip_swaps=False)}
+            for kind, total in full.items():
+                assert slot[kind] == pytest.approx(total, rel=1e-12, abs=0.0)
+    st._check_bound(4.0, 4.0, 0.1)
+    with pytest.raises(RuntimeError, match="above its thinning bound"):
+        st._check_bound(4.0, 3.9, 0.1)
+
+
+def test_slot_bound_rows_follow_sign_changes():
+    rng = np.random.default_rng(8)
+    n = 9
+    rho = -np.sort(-rng.uniform(0.2, 3.0, (3, n)), axis=1)  # three envelope nodes
+    _, over_sum, over_diff = st._slot_bounds(rho, 1.0, np.empty((2, n, n)))
+    sigma = rng.choice([-1.0, 1.0], n)
+    w = np.where(sigma[:, None] == sigma, over_sum, over_diff)
+    row = w.sum(axis=1)
+    for c in rng.integers(0, n, 40):
+        sigma[c] = -sigma[c]
+        st._refresh_bounds(w, row, sigma, over_sum, over_diff, c)
+        fresh = np.where(sigma[:, None] == sigma, over_sum, over_diff)
+        assert np.array_equal(w, fresh)
+        assert row == pytest.approx(fresh.sum(axis=1), rel=1e-12, abs=0.0)
+
+
+def test_slot_moves_match_apply_reflection():
+    v = np.random.default_rng(6).uniform(-3.0, 3.0, 6)
+    refls = [Reflection("flip", 2), Reflection("sign_swap", 1, 4), Reflection("swap", 0, 5)]
+    refls += [Reflection("sign_swap", 3, 5), Reflection("swap", 2, 3)]
+    for refl in refls:
+        rho, sigma, labels = _slots(v)
+        slot_of = np.argsort(labels)
+        st._slot_move(sigma, labels, refl.kind, slot_of[refl.i], None if refl.j is None else slot_of[refl.j])
+        w = np.empty(v.size)
+        w[labels] = sigma * rho
+        assert np.array_equal(w, apply_reflection(ChamberPoint(v, FULL_SPACE), refl).coords)
+
+
+@pytest.mark.parametrize("dt", [0.1, 0.5])
+def test_dunkl_frozen_flip_count_is_exact(dt):
+    # one particle: x^2 = x0^2 + 2 nu t, and flips at nu/(2 x^2) form a Poisson
+    # count of mean (1/4) ln(1 + 2 nu T / x0^2) whatever the record step
+    x0, nu, t, reps = 0.5, 1.0, 0.5, 4000
+    counts = np.array(
+        [
+            len(simulate_dunkl_b(np.array([x0]), nu, math.inf, t, dt, RngStream(71, r)).jump_log)
+            for r in range(reps)
+        ]
+    )
+    exact = 0.25 * math.log1p(2.0 * nu * t / x0**2)
+    assert abs(counts.mean() - exact) < 4.0 * counts.std(ddof=1) / math.sqrt(reps)
+
+
+def test_dunkl_frozen_jump_counters():
+    x0 = np.array([2.0, -1.0, 0.5, 0.25])
+    for skip_swaps in (True, False):
+        p, again = (
+            simulate_dunkl_b(x0, 1.0, math.inf, 0.3, 0.01, RngStream(12, 3), skip_swaps=skip_swaps)
+            for _ in range(2)
+        )
+        d = p.diagnostics
+        assert {k: d[k] for k in st._JUMP_COUNTERS} == {k: again.diagnostics[k] for k in st._JUMP_COUNTERS}
+        assert all(type(d[k]) is int for k in st._JUMP_COUNTERS)
+        kinds = [r.kind for _, r in p.jump_log]
+        assert [d["flips"], d["sign_swaps"], d["swaps"]] == [kinds.count(k) for k in ("flip", "sign_swap", "swap")]
+        assert d["flips"] + d["sign_swaps"] + d["swaps"] == len(p.jump_log) <= d["proposals"]
+        assert d["flips"] > 0 and d["sign_swaps"] > 0 and (d["swaps"] > 0) is not skip_swaps
 
 
 def test_dunkl_frozen_even_moments_deterministic():
