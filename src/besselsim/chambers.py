@@ -9,6 +9,7 @@ coordinate swap, swap with double sign flip) are implemented here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,31 +113,15 @@ def apply_reflection(point: ChamberPoint, r: Reflection) -> ChamberPoint:
     return ChamberPoint(x, FULL_SPACE)
 
 
-def regularity_gap(point: ChamberPoint) -> float:
-    """Distance to the nearest reflecting hyperplane of the chamber's root system.
+def _gaps(x, wall):
+    """Adjacent gaps of a descending state and the step gap (wall included when active).
 
-    Zero iff the point lies on a hyperplane.  For type A this is the
-    minimum pairwise coordinate difference; type B (and full space, which
-    hosts the type B jump dynamics) additionally includes the pairwise
-    sums and the coordinates themselves.  A single type A particle has no
-    hyperplanes, so the gap is +inf by convention.
+    The step gap of a type A state is its distance to the nearest reflecting
+    hyperplane; of the descending |x| of a type B or full-space point, the
+    smallest |x_i -+ x_j|, and ``wall`` adds the hyperplanes x_i = 0.
     """
-    return drift_gap(point, 1.0)
-
-
-def drift_gap(point: ChamberPoint, nu: float) -> float:
-    """Gap relevant for the singular drift, used for step-size caps.
-
-    Like :func:`regularity_gap`, except the distance-to-zero part only
-    counts when ``nu > 0``: with ``nu == 0`` the drift has no singularity
-    at the coordinate hyperplanes, and trajectories may approach them.
-    """
-    x = point.coords
-    if point.chamber == CHAMBER_A:
-        return float(np.min(np.diff(np.sort(x)))) if x.size > 1 else np.inf
-    # B hyperplanes: x_i = x_j, x_i = -x_j, x_i = 0.  For arbitrary signs,
-    # min over |x_i - x_j| and |x_i + x_j| equals the minimum gap between
-    # sorted absolute values.
-    a = np.sort(np.abs(x))
-    gap = float(a[0]) if nu > 0 else np.inf
-    return min(gap, float(np.min(np.diff(a)))) if a.size > 1 else gap
+    d = x[:-1] - x[1:]
+    g = float(d.min()) if d.size else math.inf
+    if wall:
+        g = min(g, float(x[-1]))
+    return d, g

@@ -235,11 +235,9 @@ def _jacobi_from_moments(m, K):
     return np.array(alpha), np.array(beta)
 
 
-def atoms_from_moments(m, K: int | None = None):
-    """Gaussian quadrature (nodes, weights) matching moments m_0..m_{2K-1}."""
-    if K is None:
-        K = min((len(m)) // 2, 20)
-    alpha, beta = _jacobi_from_moments(m, K)
+def atoms_from_moments(m):
+    """Gaussian quadrature (nodes, weights) matching m_0..m_{2K-1}, K = min(len(m) // 2, 20)."""
+    alpha, beta = _jacobi_from_moments(m, min(len(m) // 2, 20))
     if alpha.size == 1:
         return np.array([alpha[0]]), np.array([beta[0]])
     nodes, vecs = eigh_tridiagonal(alpha, np.sqrt(beta[1:]))
@@ -700,11 +698,10 @@ def quartercircle_law() -> LimitLaw:
     return Quartercircle()
 
 
-def atom_law(locs, weights=None) -> LimitLaw:
+def atom_law(locs) -> LimitLaw:
+    """Equal-weight atoms at ``locs`` (an empirical measure); ``Atoms`` takes weights."""
     locs = np.atleast_1d(np.asarray(locs, dtype=float))
-    if weights is None:
-        weights = np.full(locs.size, 1.0 / locs.size)
-    return Atoms(locs, weights)
+    return Atoms(locs, np.full(locs.size, 1.0 / locs.size))
 
 
 def beta_law(a: float, b: float) -> LimitLaw:
@@ -780,6 +777,10 @@ def stieltjes(law_or_moments, z) -> complex:
     return _as_law(law_or_moments).cauchy(z)[0]
 
 
+# Heights above the real axis of a Stieltjes inversion, strictly decreasing.
+_INVERT_EPS = np.array([1e-1, 1e-2, 1e-3, 1e-4])
+
+
 @dataclass
 class SpectralDensity:
     grid: np.ndarray
@@ -806,17 +807,16 @@ class SpectralDensity:
         return base / total
 
 
-def stieltjes_invert(g, grid, eps_schedule=(1e-1, 1e-2, 1e-3, 1e-4)) -> SpectralDensity:
+def stieltjes_invert(g, grid) -> SpectralDensity:
     """Recover a density on ``grid`` from -Im G(x + i eps)/pi, extrapolating eps to 0.
 
-    ``g`` is a callable z -> complex.  Uses 2-point Richardson in eps
-    (the Poisson smoothing error is linear in eps for smooth densities),
-    flags grid points where the extrapolation is inconsistent, detects
-    atom-like plateaus of eps * |G|, and clips negative values.
+    ``g`` is a callable z -> complex, evaluated at the heights ``_INVERT_EPS``.
+    Uses 2-point Richardson in eps (the Poisson smoothing error is linear
+    in eps for smooth densities), flags grid points where the last two
+    extrapolations disagree, detects atom-like plateaus of eps * |G|, and
+    clips negative values.
     """
-    eps = np.asarray(eps_schedule, dtype=float)
-    if eps.size < 2 or np.any(np.diff(eps) >= 0) or np.any(eps <= 0):
-        raise ValueError("eps_schedule must be strictly decreasing and positive")
+    eps = _INVERT_EPS
     grid = np.asarray(grid, dtype=float)
     vals = np.empty((eps.size, grid.size))
     for j, e in enumerate(eps):
@@ -827,7 +827,7 @@ def stieltjes_invert(g, grid, eps_schedule=(1e-1, 1e-2, 1e-3, 1e-4)) -> Spectral
         return vals[j2] + (vals[j2] - vals[j1]) * e2 / (e1 - e2)
 
     f_last = richardson(eps.size - 2, eps.size - 1)
-    f_prev = richardson(eps.size - 3, eps.size - 2) if eps.size >= 3 else f_last
+    f_prev = richardson(eps.size - 3, eps.size - 2)
     diverged = np.abs(f_last - f_prev) > np.maximum(0.5 * np.abs(f_last), 0.05)
 
     atoms = []

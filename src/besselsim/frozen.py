@@ -24,10 +24,19 @@ from .chambers import (
     CHAMBER_B,
     ChamberPoint,
     SingularConfigurationError,
-    drift_gap,
+    _gaps,
     project_to_chamber,
 )
 from .zeros import hermite_zeros, laguerre_zeros
+
+
+# Dormand-Prince tolerances, the step cap h <= _GAP_SAFETY * gap^2, the horizon
+# of the zero-profile split of boundary starts, and the RK step budget per solve.
+_RTOL = 1e-10
+_ATOL = 1e-12
+_GAP_SAFETY = 0.5
+_BOOT_DELTA = 1e-8
+_MAX_STEPS = 2_000_000
 
 
 class IntegrationError(RuntimeError):
@@ -156,19 +165,14 @@ def solve_frozen(
     x0,
     t_grid,
     nu: float | None = None,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    gap_safety: float = 0.5,
-    delta: float = 1e-8,
-    max_steps: int = 2_000_000,
 ) -> FrozenTrajectory:
     """Integrate the frozen ODE of type ``"a"`` or ``"b"`` over ``t_grid``.
 
     ``x0`` may lie on the chamber boundary (including the origin); such
-    starts are bootstrapped by the exact zero-profile split up to ``delta``
-    and integrated onward.  Output states land exactly on ``t_grid``.
+    starts are bootstrapped by the exact zero-profile split up to
+    ``_BOOT_DELTA`` and integrated onward.  Output states land exactly on
+    ``t_grid``.
     """
-    system = system.lower()
     if system not in ("a", "b"):
         raise ValueError("system must be 'a' or 'b'")
     chamber = CHAMBER_A if system == "a" else CHAMBER_B
@@ -190,16 +194,14 @@ def solve_frozen(
 
     rhs = (lambda y: drift_a(y)) if system == "a" else (lambda y: drift_b(y, nu_val))
 
-    boot, x_boot = _bootstrap_start(x_init, chamber, nu_val, delta)
-    t = delta if boot else 0.0
+    boot, x_boot = _bootstrap_start(x_init, chamber, nu_val, _BOOT_DELTA)
+    t = _BOOT_DELTA if boot else 0.0
     x = x_boot if boot else x_init.copy()
 
     states = np.empty((t_grid.size, x.size))
     traj = FrozenTrajectory(chamber, nu if system == "b" else None, t_grid.copy(), states)
 
-    def current_gap(y):
-        return drift_gap(ChamberPoint(y, chamber), nu_val)
-
+    wall = chamber == CHAMBER_B and nu_val > 0
     # Outputs at or before the bootstrap horizon come from the bootstrap
     # profile itself (exact for a full zero start, O(sqrt(delta)) otherwise).
     out_idx = 0
@@ -211,22 +213,22 @@ def solve_frozen(
             states[out_idx] = x_init
         out_idx += 1
     if out_idx == t_grid.size:
-        traj.min_gap = current_gap(x)
+        traj.min_gap = _gaps(x, wall)[1]
         return traj
 
-    gap = current_gap(x)
+    gap = _gaps(x, wall)[1]
     traj.min_gap = gap
-    dt = min(1e-3 * (1.0 + t_grid[-1] - t), gap_safety * gap * gap)
+    dt = min(1e-3 * (1.0 + t_grid[-1] - t), _GAP_SAFETY * gap * gap)
     n_steps = 0
     k = np.empty((7, x.size))
     while out_idx < t_grid.size:
         t_target = float(t_grid[out_idx])
         while t_target - t > 1e-12 * max(1.0, t_grid[-1] if t_grid[-1] > 0 else 1.0):
-            if n_steps > max_steps:
+            if n_steps > _MAX_STEPS:
                 raise IntegrationError("step budget exhausted", t, dt)
-            gap = current_gap(x)
+            gap = _gaps(x, wall)[1]
             traj.min_gap = min(traj.min_gap, gap)
-            h = min(dt, t_target - t, gap_safety * gap * gap)
+            h = min(dt, t_target - t, _GAP_SAFETY * gap * gap)
             if h <= 0.0 or t + h == t:
                 raise IntegrationError("step size underflow", t, h)
             ok = True
@@ -249,7 +251,7 @@ def solve_frozen(
                 dt = h * 0.5
                 traj.n_rejected += 1
                 continue
-            scale = atol + rtol * np.maximum(np.abs(x), np.abs(x5))
+            scale = _ATOL + _RTOL * np.maximum(np.abs(x), np.abs(x5))
             err = math.sqrt(float(np.mean(((x5 - x4) / scale) ** 2)))
             if err <= 1.0:
                 t += h
@@ -261,11 +263,11 @@ def solve_frozen(
             dt = h * min(5.0, max(0.2, factor))
         states[out_idx] = x
         out_idx += 1
-    traj.min_gap = min(traj.min_gap, current_gap(x))
+    traj.min_gap = min(traj.min_gap, _gaps(x, wall)[1])
     return traj
 
 
-def ou_transform_frozen(x0, lam: float, t: float, **solver_kwargs) -> ChamberPoint:
+def ou_transform_frozen(x0, lam: float, t: float) -> ChamberPoint:
     """State at time t of the type A flow with extra drift -lam*x.
 
     Uses the exact space-time transform: the mean-reverting solution at
@@ -277,8 +279,8 @@ def ou_transform_frozen(x0, lam: float, t: float, **solver_kwargs) -> ChamberPoi
     point0 = x0 if isinstance(x0, ChamberPoint) else project_to_chamber(x0, CHAMBER_A)
     if lam == 0.0 or t == 0.0:
         grid = [0.0, t] if t > 0 else [0.0]
-        return solve_frozen("a", point0, grid, **solver_kwargs).point(-1)
+        return solve_frozen("a", point0, grid).point(-1)
     s = -math.expm1(-2.0 * lam * t) / (2.0 * lam)
     y0 = math.exp(-lam * t) * point0.coords
-    traj = solve_frozen("a", project_to_chamber(y0, CHAMBER_A), [0.0, s], **solver_kwargs)
+    traj = solve_frozen("a", project_to_chamber(y0, CHAMBER_A), [0.0, s])
     return traj.point(-1)

@@ -52,33 +52,37 @@ SCALE_SQRT_N = "sqrt_n"
 SCALE_SQRT_2N = "sqrt_2n"
 
 
+def _root_n(n: int, scaling: str) -> float:
+    """sqrt(n) for ``SCALE_SQRT_N`` and sqrt(2n) for ``SCALE_SQRT_2N``."""
+    if scaling not in (SCALE_SQRT_N, SCALE_SQRT_2N):
+        raise ValueError(f"unknown scaling {scaling!r}")
+    return math.sqrt(n) if scaling == SCALE_SQRT_N else math.sqrt(2 * n)
+
+
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """N equal-weight atoms after rescaling by sqrt(N) or sqrt(2N)."""
+    """N equal-weight atoms, e.g. coordinates rescaled by sqrt(N) or sqrt(2N)."""
 
     atoms: np.ndarray
-    scaling: str = SCALE_SQRT_N
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=float)
         object.__setattr__(self, "atoms", atoms)
         if atoms.size < 1:
             raise ValueError("empirical measure must have at least one atom")
-        if self.scaling not in (SCALE_SQRT_N, SCALE_SQRT_2N):
-            raise ValueError(f"unknown scaling {self.scaling!r}")
 
     @classmethod
     def from_point(cls, point, scaling: str = SCALE_SQRT_N) -> "EmpiricalMeasure":
+        """Atoms x_i / sqrt(N) (``SCALE_SQRT_N``) or x_i / sqrt(2N) (``SCALE_SQRT_2N``)."""
         x = np.asarray(getattr(point, "coords", point), dtype=float)
-        denom = math.sqrt(x.size) if scaling == SCALE_SQRT_N else math.sqrt(2 * x.size)
-        return cls(x / denom, scaling)
+        return cls(x / _root_n(x.size, scaling))
 
     @property
     def n(self) -> int:
         return self.atoms.size
 
     def squared(self) -> "EmpiricalMeasure":
-        return EmpiricalMeasure(self.atoms**2, self.scaling)
+        return EmpiricalMeasure(self.atoms**2)
 
     def moments(self, L: int) -> np.ndarray:
         out = np.empty(L + 1)
@@ -123,20 +127,19 @@ def law_quantiles(law: LimitLaw, ps, lo: float, hi: float) -> np.ndarray:
     return out
 
 
-def starting_profile(preset, n: int, scaling: str = SCALE_SQRT_N, chamber: str = CHAMBER_A) -> ChamberPoint:
+def starting_profile(preset: str, n: int, scaling: str = SCALE_SQRT_N, chamber: str = CHAMBER_A) -> ChamberPoint:
     """N-particle start whose empirical measure approximates a named law.
+
+    ``preset`` is ``zero``, ``quartercircle``, ``semicircle[:R]`` or
+    ``file:PATH`` (unscaled coordinates, one per line).
 
     Atoms sit at the (i - 1/2)/n quantiles, times sqrt(n) (or sqrt(2n)),
     so the initial empirical measure is within 1/(2n) of the target in KS
     distance.
     """
-    scale = math.sqrt(n) if scaling == SCALE_SQRT_N else math.sqrt(2 * n)
+    scale = _root_n(n, scaling)
     ps = (np.arange(1, n + 1) - 0.5) / n
-    if isinstance(preset, LimitLaw):
-        law = preset
-        lo, hi = -law.support_radius() - 1, law.support_radius() + 1
-        raw = law_quantiles(law, ps, lo, hi)
-    elif preset == "zero":
+    if preset == "zero":
         raw = np.zeros(n)
     elif preset == "quartercircle":
         raw = law_quantiles(quartercircle_law(), ps, 0.0, 2.0)
@@ -164,7 +167,7 @@ class ExperimentReport:
     manifest: dict = field(default_factory=dict)
 
 
-def _row(name, n, t, metric, value, threshold, hard=True, stderr=float("nan")):
+def _row(name, n, t, metric, value, threshold, stderr=float("nan")):
     return {
         "name": name,
         "n": n,
@@ -174,7 +177,7 @@ def _row(name, n, t, metric, value, threshold, hard=True, stderr=float("nan")):
         "stderr": float(stderr),
         "threshold": float(threshold),
         "passed": bool(value <= threshold),
-        "hard": bool(hard),
+        "hard": True,
     }
 
 

@@ -25,10 +25,6 @@ from fractions import Fraction
 
 import numpy as np
 
-SCALING_SQRT_N = "sqrt_n"  # atoms x_i / sqrt(N)
-SCALING_B_SQUARED = "sqrt_2n_squared"  # atoms x_i^2 / (2N)
-SCALING_DUNKL = "dunkl_sqrt_n"  # full-space atoms x_i / sqrt(N)
-
 MAX_ORDER = 64
 
 
@@ -119,21 +115,13 @@ class TPoly:
 
 @dataclass
 class MomentSequence:
-    """Truncated moment sequence c_0..c_L with its scaling tag and time."""
+    """Truncated moment sequence c_0..c_L."""
 
     values: list
-    scaling: str = SCALING_SQRT_N
-    t: float = 0.0
 
     def __post_init__(self):
         if len(self.values) == 0 or self.values[0] != 1:
             raise ValueError("moment sequence must start with c_0 = 1")
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, l):
-        return self.values[l]
 
     def floats(self) -> np.ndarray:
         return np.array([float(v) for v in self.values])
@@ -147,7 +135,7 @@ def catalan(n: int) -> int:
 
 
 def _prep_initial(c0, L):
-    vals = list(c0.values if isinstance(c0, MomentSequence) else c0)
+    vals = list(c0)
     if len(vals) == 0 or vals[0] != 1:
         raise ValueError("initial moments must start with c_0 = 1")
     if L > MAX_ORDER:
@@ -258,35 +246,21 @@ def finite_size_moments_b(nu0, beta, L: int, n: int, t) -> list[float]:
     return [float(c[l](t)) + float(e[l](t)) / n for l in range(L + 1)]
 
 
-def _evaluate(polys, t, scaling):
+def _evaluate(polys, t):
     exact_t = isinstance(t, (int, Fraction))
-    vals = [p(t if exact_t else float(t)) for p in polys]
-    return MomentSequence(vals, scaling=scaling, t=float(t))
+    return MomentSequence([p(t if exact_t else float(t)) for p in polys])
 
 
 def limit_moments_a(c0, t, L: int) -> MomentSequence:
     """Type A limiting moments at time t, evaluated exactly when possible."""
-    return _evaluate(limit_moment_polys_a(c0, L), t, SCALING_SQRT_N)
+    return _evaluate(limit_moment_polys_a(c0, L), t)
 
 
 def limit_moments_b(c0sq, nu0, t, L: int) -> MomentSequence:
     """Type B squared-side limiting moments at time t."""
-    return _evaluate(limit_moment_polys_b(c0sq, nu0, L), t, SCALING_B_SQUARED)
+    return _evaluate(limit_moment_polys_b(c0sq, nu0, L), t)
 
 
 def limit_moments_dunkl(c0, nu0, t, L: int) -> MomentSequence:
     """Full-space jump-system limiting moments at time t."""
-    return _evaluate(limit_moment_polys_dunkl(c0, nu0, L), t, SCALING_DUNKL)
-
-
-def empirical_moments(atoms, L: int, scaling: str = SCALING_SQRT_N, t: float = 0.0) -> MomentSequence:
-    """Moments (1/N) sum atoms^l of an empirical measure's rescaled atoms."""
-    atoms = np.asarray(getattr(atoms, "atoms", atoms), dtype=float)
-    if atoms.size == 0:
-        raise ValueError("empirical measure must be nonempty")
-    vals = [1.0]
-    power = np.ones_like(atoms)
-    for _ in range(L):
-        power = power * atoms
-        vals.append(float(power.mean()))
-    return MomentSequence(vals, scaling=scaling, t=t)
+    return _evaluate(limit_moment_polys_dunkl(c0, nu0, L), t)

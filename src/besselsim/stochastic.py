@@ -25,6 +25,10 @@ beta, operator splitting (drift, diffusion, jumps) is used, with
 first-event jumps whose rates are frozen at the window start and
 refreshed at every event and at least once per step.
 
+Neither sampler draws the swaps x_i <-> x_j: a swap exchanges two labels
+and leaves the configuration as a set and every other rate unchanged, so
+the configuration's law is exact and output columns are labels up to swaps.
+
 All randomness flows through numpy Generators derived from (seed,
 replica) pairs, so runs are reproducible bit for bit.
 """
@@ -44,6 +48,7 @@ from .chambers import (
     FULL_SPACE,
     ChamberPoint,
     Reflection,
+    _gaps,
     apply_reflection,
     project_to_chamber,
 )
@@ -55,7 +60,7 @@ from .frozen import IntegrationError, drift_a, drift_b, solve_frozen
 _JUMP_EXCLUSION = 1e-8
 
 # Jump counters of a frozen Dunkl path: proposals, then accepted jumps by kind.
-_JUMP_COUNTERS = ("proposals", "flips", "sign_swaps", "swaps")
+_JUMP_COUNTERS = ("proposals", "flips", "sign_swaps")
 # Relative excess of an exact jump rate over its thinning bound that is put
 # down to rounding: rates and bounds come from the same envelope nodes, the
 # difference bounds through a cumulative sum of gap minima.
@@ -72,34 +77,27 @@ class RngStream:
     """Reproducible, independent stream identified by (seed, replica)."""
 
     seed: int
-    replica: int = 0
+    replica: int
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.replica,))
         return np.random.Generator(np.random.Philox(ss))
 
 
-@dataclass(frozen=True)
-class MultiplicityA:
-    k: float  # in [1/2, inf]
-
-    def __post_init__(self):
-        if not (self.k >= 0.5):
-            raise ValueError("regular case requires k >= 1/2")
+def _check_a(k):
+    """Type A multiplicity: the regular case k in [1/2, inf]."""
+    if not (k >= 0.5):
+        raise ValueError("regular case requires k >= 1/2")
 
 
-@dataclass(frozen=True)
-class MultiplicityB:
-    nu: float
-    beta: float  # in [1/2, inf]; beta = inf marks frozen dynamics
-
-    def __post_init__(self):
-        if math.isinf(self.beta):
-            if self.nu < 0:
-                raise ValueError("nu must be nonnegative")
-            return
-        if not (self.beta >= 0.5 and self.nu * self.beta >= 0.5):
-            raise ValueError("regular case requires beta >= 1/2 and nu*beta >= 1/2")
+def _check_b(nu, beta):
+    """Type B multiplicities: beta = inf (frozen) needs nu >= 0, else the regular case."""
+    if math.isinf(beta):
+        if nu < 0:
+            raise ValueError("nu must be nonnegative")
+        return
+    if not (beta >= 0.5 and nu * beta >= 0.5):
+        raise ValueError("regular case requires beta >= 1/2 and nu*beta >= 1/2")
 
 
 @dataclass
@@ -112,9 +110,6 @@ class PathSample:
     jump_log: list = field(default_factory=list)  # [(time, Reflection)]
     diagnostics: dict = field(default_factory=dict)
 
-    def point(self, idx: int) -> ChamberPoint:
-        return ChamberPoint(self.states[idx].copy(), self.chamber)
-
 
 def _record_grid(T: float, dt: float) -> np.ndarray:
     if T < 0 or dt <= 0:
@@ -123,15 +118,6 @@ def _record_grid(T: float, dt: float) -> np.ndarray:
         return np.array([0.0])
     n = max(1, int(round(T / dt)))
     return np.linspace(0.0, T, n + 1)
-
-
-def _gaps(x, wall):
-    """Adjacent gaps of a sorted state and the step gap (wall included when active)."""
-    d = x[:-1] - x[1:]
-    g = float(d.min()) if d.size else math.inf
-    if wall:
-        g = min(g, float(x[-1]))
-    return d, g
 
 
 def _tamed_increment(drift_vec, h, cap):
@@ -145,16 +131,17 @@ def _tamed_increment(drift_vec, h, cap):
     return np.clip(disp, -cap, cap)
 
 
-def _em_path(x0, drift, sigma, chamber, T, dt, rng, gap_scale, nu=0.0):
+def _em_path(x0, drift, coupling, chamber, T, dt, rng, nu=0.0):
     """Euler-Maruyama with exact local flows across the singular hyperplanes.
 
-    Sub-steps obey h <= gap^2 * gap_scale with a floor of dt/8, where the
-    gap is the smallest adjacent gap (and, for type B with nu > 0, the
-    distance to the wall).  Every pair closer than 4 sqrt(h) (the scale
-    where an Euler increment stops tracking the singular repulsion) has
-    its mutual flow du = 2/u dt applied exactly as u' = sqrt(u^2 + 4h),
-    tightest pair first; a type B coordinate inside 4 sqrt(nu h) of the
-    wall gets the exact wall flow x' = sqrt(x^2 + 2 nu h).  These maps
+    The noise scale is 1/sqrt(coupling), for the coupling k (type A) or
+    beta (type B).  Sub-steps obey h <= gap^2 * min(1, coupling) with a
+    floor of dt/8, where the gap is the smallest adjacent gap (and, for
+    type B with nu > 0, the distance to the wall).  Every pair closer
+    than 4 sqrt(h) (the scale where an Euler increment stops tracking the
+    singular repulsion) has its mutual flow du = 2/u dt applied exactly
+    as u' = sqrt(u^2 + 4h), tightest pair first; a type B coordinate
+    inside 4 sqrt(nu h) of the wall gets the exact wall flow x' = sqrt(x^2 + 2 nu h).  These maps
     preserve each interaction term's exact second-moment production, they
     bound the remaining Euler drift by sqrt(h)/4 per interaction, and
     their deterministic gap expansion (u' >= 2 sqrt(h)) keeps the step
@@ -168,6 +155,8 @@ def _em_path(x0, drift, sigma, chamber, T, dt, rng, gap_scale, nu=0.0):
     pair and wall flows, and clipped drift coordinates.
     """
     times = _record_grid(T, dt)
+    sigma = 1.0 / math.sqrt(coupling)
+    gap_scale = min(1.0, coupling)
     x, n = x0, x0.size  # never written in place: each sub-step makes a new array
     states = np.empty((times.size, n))
     states[0] = x
@@ -239,8 +228,7 @@ def _em_path(x0, drift, sigma, chamber, T, dt, rng, gap_scale, nu=0.0):
                 x_raw = np.array(xl)
                 count["pair_flows"] += len(ends) // 2
                 count["wall_flows"] += n_wall
-            if sigma > 0:
-                x_raw += noise_scale * rng.standard_normal(n)
+            x_raw += noise_scale * rng.standard_normal(n)
             y = x_raw if chamber == CHAMBER_A else np.abs(x_raw)
             viol = float((y[1:] - y[:-1]).max(initial=0.0))
             if chamber == CHAMBER_B:
@@ -269,8 +257,8 @@ def _frozen_as_path(system, x0, T, dt, stream, nu=None):
 
 def simulate_bessel_a(x0, k: float, T: float, dt: float, stream: RngStream) -> PathSample:
     """Renormalized type A path: dX_i = dB_i/sqrt(k) + sum_j 1/(X_i - X_j) dt."""
-    k = k.k if isinstance(k, MultiplicityA) else float(k)
-    MultiplicityA(k)
+    k = float(k)
+    _check_a(k)
     if math.isinf(k):
         return _frozen_as_path("a", x0, T, dt, stream)
     return _em_sample(x0, drift_a, CHAMBER_A, T, dt, stream, k)
@@ -278,9 +266,7 @@ def simulate_bessel_a(x0, k: float, T: float, dt: float, stream: RngStream) -> P
 
 def simulate_bessel_b(x0, nu: float, beta: float, T: float, dt: float, stream: RngStream) -> PathSample:
     """Renormalized type B path with drift sum_j 2 X_i/(X_i^2 - X_j^2) + nu/X_i (``drift_b``)."""
-    if isinstance(nu, MultiplicityB):
-        nu, beta = nu.nu, nu.beta
-    MultiplicityB(nu, beta)
+    _check_b(nu, beta)
     if math.isinf(beta):
         return _frozen_as_path("b", x0, T, dt, stream, nu=nu)
     return _em_sample(x0, lambda y: drift_b(y, nu), CHAMBER_B, T, dt, stream, beta, nu)
@@ -289,10 +275,7 @@ def simulate_bessel_b(x0, nu: float, beta: float, T: float, dt: float, stream: R
 def _em_sample(x0, drift, chamber, T, dt, stream, coupling, nu=0.0):
     """Seeded Euler-Maruyama path at coupling k (type A) or beta (type B)."""
     x_start = _em_start(x0, chamber, nu, dt)
-    times, states, diag = _em_path(
-        x_start, drift, 1.0 / math.sqrt(coupling), chamber, T, dt, stream.generator(),
-        min(1.0, coupling), nu,
-    )
+    times, states, diag = _em_path(x_start, drift, coupling, chamber, T, dt, stream.generator(), nu)
     return PathSample(chamber, times, states, stream.seed, stream.replica, diagnostics=diag)
 
 
@@ -327,8 +310,8 @@ def simulate_bessel_ou(
     space-time transform X_ou(t) = exp(-lam t) X((exp(2 lam t) - 1)/(2 lam)).
     With lam = 0 both modes reproduce simulate_bessel_a exactly.
     """
-    k = k.k if isinstance(k, MultiplicityA) else float(k)
-    MultiplicityA(k)
+    k = float(k)
+    _check_a(k)
     if mode not in ("direct", "transform"):
         raise ValueError("mode must be 'direct' or 'transform'")
     if math.isinf(k):
@@ -346,7 +329,7 @@ def simulate_bessel_ou(
         return _em_sample(x0, lambda y: drift_a(y) - lam * y, CHAMBER_A, T, dt, stream, k)
     # transform mode: record the lam = 0 path on the warped grid.
     grid = _record_grid(T, dt)
-    warped = (np.expm1(2.0 * lam * grid) / (2.0 * lam)) if lam != 0 else grid
+    warped = np.expm1(2.0 * lam * grid) / (2.0 * lam)
     x_start = _em_start(x0, CHAMBER_A, 0.0, dt)
     rng = stream.generator()
     states = np.empty((grid.size, x_start.size))
@@ -355,9 +338,7 @@ def simulate_bessel_ou(
     diag_all = {"max_violation": 0.0, "min_gap": np.inf} | dict.fromkeys(_EM_COUNTERS, 0)
     for i in range(1, grid.size):
         span = warped[i] - warped[i - 1]
-        _, seg, diag = _em_path(
-            x, drift_a, 1.0 / math.sqrt(k), CHAMBER_A, span, span, rng, min(1.0, k)
-        )
+        _, seg, diag = _em_path(x, drift_a, k, CHAMBER_A, span, span, rng)
         x = seg[-1]
         states[i] = math.exp(-lam * grid[i]) * x
         diag_all["max_violation"] = max(diag_all["max_violation"], diag["max_violation"])
@@ -376,7 +357,7 @@ def _pairs(n):
     return iu, ju
 
 
-def _jump_blocks(v, nu, skip_swaps):
+def _jump_blocks(v, nu):
     """Rate blocks at the signed state v: [(kind, rates), ...].
 
     Pair rates are indexed by the cached upper-triangle order; reflections
@@ -389,8 +370,6 @@ def _jump_blocks(v, nu, skip_swaps):
     if nu > 0:
         blocks.append(("flip", nu / (2.0 * v * v)))
     blocks.append(("sign_swap", _excluded_inverse_square(v[iu] + v[ju])))
-    if not skip_swaps:
-        blocks.append(("swap", _excluded_inverse_square(v[iu] - v[ju])))
     return blocks
 
 
@@ -403,7 +382,7 @@ def _excluded_inverse_square(a):
     return a
 
 
-def _next_jump(v, nu, skip_swaps, rng, window):
+def _next_jump(v, nu, rng, window):
     """First-event thinning over [0, window] with rates frozen at v.
 
     Returns (tau, reflection or None): the elapsed time and the reflection
@@ -412,7 +391,7 @@ def _next_jump(v, nu, skip_swaps, rng, window):
     per-window jump-probability cap is needed; the window itself bounds
     the rate-freshness error.
     """
-    blocks = _jump_blocks(v, nu, skip_swaps)
+    blocks = _jump_blocks(v, nu)
     totals = [float(r.sum()) for _, r in blocks]
     grand = sum(totals)
     if grand <= 0.0:
@@ -443,9 +422,9 @@ def _slot_bounds(rho, nu, out):
     smallest node gap; cumulative sums d of those gap minima bound the
     magnitude differences, rho_a - rho_b >= d_b - d_a for a < b.  Returns the
     flip bounds nu/(2 m_a^2) and the symmetric pair bounds 1/(m_a + m_b)^2
-    (``over_sum``) and 1/(d_b - d_a)^2 (``over_diff``).  The reflection of
-    two equal signs is the sign-swap at rate 1/(rho_a + rho_b)^2 and the swap
-    at 1/(rho_a - rho_b)^2; opposite signs trade the two.  A bound whose
+    (``over_sum``) and 1/(d_b - d_a)^2 (``over_diff``).  The sign-swap of
+    two slots runs at rate 1/(rho_a + rho_b)^2 when their signs are equal
+    and at 1/(rho_a - rho_b)^2 when they are opposite.  A bound whose
     distance is within the exclusion threshold is 0, and so is a diagonal.
     The pair bounds are written into ``out``, two (N, N) arrays reused
     across calls (fresh arrays of that size cost more than the arithmetic).
@@ -458,18 +437,15 @@ def _slot_bounds(rho, nu, out):
     return 0.5 * nu * _excluded_inverse_square(m), over_sum, over_diff
 
 
-def _slot_move(sigma, labels, kind, a, b=None):
-    """Apply a reflection to the slot state (signs, label of each slot) in place.
+def _slot_move(sigma, labels, a, b=None):
+    """Flip slot a, or sign-swap slots a and b, in the slot state (in place).
 
-    A flip negates sigma_a, a sign-swap negates sigma_a and sigma_b and
-    exchanges their labels, and a swap only exchanges the labels: the
-    magnitudes stay with their slots.
+    A flip negates sigma_a; a sign-swap negates sigma_a and sigma_b and
+    exchanges their labels.  The magnitudes stay with their slots.
     """
-    if kind != "swap":
-        sigma[a] = -sigma[a]
-    if kind == "sign_swap":
+    sigma[a] = -sigma[a]
+    if b is not None:
         sigma[b] = -sigma[b]
-    if kind != "flip":
         labels[a], labels[b] = labels[b], labels[a]
 
 
@@ -495,7 +471,7 @@ def _pick(cum, v):
     return i if i < cum.size else int(cum.searchsorted(cum[-1]))
 
 
-def _slot_jump_path(rho, grid, times, labels, sigma, nu, skip_swaps, rng):
+def _slot_jump_path(rho, grid, times, labels, sigma, nu, rng):
     """Frozen Dunkl jumps over the envelope ``rho`` on ``grid``, by exact thinning.
 
     The state lives in slot space: the envelope's sorted magnitudes, one
@@ -504,8 +480,9 @@ def _slot_jump_path(rho, grid, times, labels, sigma, nu, skip_swaps, rng):
     ``_slot_bounds`` over its nodes dominate every rate; proposals are drawn
     from them (Lewis and Shedler, Naval Res. Logist. Q. 26, 1979), a pair
     by its row sum, then by its entry, and accepted with the exact rate at
-    the linearly interpolated envelope.  A sign change alters one row and
-    one column of the sign-swap bounds, kept with their row sums in O(N).
+    the linearly interpolated envelope.  A pair's bound depends on whether
+    its signs agree, so a sign change alters one row and one column of the
+    sign-swap bounds, kept with their row sums in O(N).
     A rate above its bound by more than rounding raises.  Returns the
     signed states at ``times``, the jump log and the jump counters.
     """
@@ -516,18 +493,15 @@ def _slot_jump_path(rho, grid, times, labels, sigma, nu, skip_swaps, rng):
     jump_log = []
     counts = dict.fromkeys(_JUMP_COUNTERS, 0)
     bufs = np.empty((3, labels.size, labels.size))
-    w = bufs[2]  # proposal bounds: the sign-swap's, or with swaps both kinds'
+    w = bufs[2]  # sign-swap bounds at the current signs
     for idx in range(1, times.size):
         j0, j1 = int(rec[idx - 1]), int(rec[idx])
         flip, over_sum, over_diff = _slot_bounds(rho[j0 : j1 + 1], nu, bufs[:2])
         flip_cum = np.cumsum(flip)
         flip_total = float(flip_cum[-1])
         nodes = rho[j0 : j1 + 1].tolist()
-        if skip_swaps:
-            np.copyto(w, over_diff)
-            np.copyto(w, over_sum, where=sigma[:, None] == sigma)
-        else:
-            np.add(over_sum, over_diff, out=w)
+        np.copyto(w, over_diff)
+        np.copyto(w, over_sum, where=sigma[:, None] == sigma)
         row = w.sum(axis=1)
         t, t_end = grid[j0], grid[j1]
         while (total := flip_total + 0.5 * float(row.sum())) > 0.0:
@@ -553,27 +527,19 @@ def _slot_jump_path(rho, grid, times, labels, sigma, nu, skip_swaps, rng):
                 a, b = sorted((a, _pick(cw, rng.random() * cw[-1])))
                 ra = (1.0 - s) * lo[a] + s * hi[a]
                 rb = (1.0 - s) * lo[b] + s * hi[b]
+                dist = ra + rb if sigma[a] == sigma[b] else ra - rb
                 # an excluded reflection has rate 0 (its distance may be 0)
-                r_sum = 1.0 / (ra + rb) ** 2 if over_sum[a, b] > 0.0 else 0.0
-                r_diff = 1.0 / (ra - rb) ** 2 if over_diff[a, b] > 0.0 else 0.0
-                r_sign_swap, r_swap = (r_sum, r_diff) if sigma[a] == sigma[b] else (r_diff, r_sum)
-                if skip_swaps:
-                    r_swap = 0.0
-                _check_bound(r_sign_swap + r_swap, w[a, b], t)
-                v = rng.random() * w[a, b]
-                if v < r_sign_swap:
-                    kind = "sign_swap"
-                elif v < r_sign_swap + r_swap:
-                    kind = "swap"
-                else:
+                rate = 1.0 / dist**2 if w[a, b] > 0.0 else 0.0
+                _check_bound(rate, w[a, b], t)
+                if rng.random() * w[a, b] >= rate:
                     continue
+                kind = "sign_swap"
             ends = (int(labels[a]),) if b is None else sorted((int(labels[a]), int(labels[b])))
             jump_log.append((t, Reflection(kind, *ends)))
             counts[kind + "s"] += 1
-            _slot_move(sigma, labels, kind, a, b)
-            if skip_swaps:
-                for c in (a,) if b is None else (a, b):
-                    _refresh_bounds(w, row, sigma, over_sum, over_diff, c)
+            _slot_move(sigma, labels, a, b)
+            for c in (a,) if b is None else (a, b):
+                _refresh_bounds(w, row, sigma, over_sum, over_diff, c)
         states[idx, labels] = sigma * rho[j1]
     return states, jump_log, counts
 
@@ -598,7 +564,6 @@ def simulate_dunkl_b(
     T: float,
     dt: float,
     stream: RngStream,
-    skip_swaps: bool = True,
 ) -> PathSample:
     """Full-space type B jump dynamics.
 
@@ -611,17 +576,19 @@ def simulate_dunkl_b(
     ``rk_accepted`` and ``rk_rejected`` on hits and misses alike.  The
     jumps are sampled exactly for the linearly interpolated envelope, by
     thinning in slot space (``_slot_jump_path``); ``diagnostics`` count the
-    ``proposals`` and the accepted ``flips``, ``sign_swaps`` and ``swaps``.
+    ``proposals`` and the accepted ``flips`` and ``sign_swaps``.
     A reflection within the exclusion threshold of its hyperplane anywhere
     in a record interval stays off for that interval, so a nu = 0 start
     with zero or coincident magnitudes is valid.
     Finite beta uses operator splitting: Euler drift, diffusion with scale
     1/sqrt(beta), then first-event jumps with rates frozen at the window
-    start.
+    start.  Its sub-steps obey h <= 0.25 gap^2 min(1, beta) with a floor of
+    dt/1000; ``diagnostics`` count the ``substeps``, the ``floor_substeps``
+    set by that floor, the ``flips`` and ``sign_swaps``, and give ``min_gap``.
+    Swaps x_i <-> x_j are not sampled: they only exchange labels, so the
+    configuration's law is exact and output columns are labels up to swaps.
     """
-    if isinstance(nu, MultiplicityB):
-        nu, beta = nu.nu, nu.beta
-    MultiplicityB(nu, beta)
+    _check_b(nu, beta)
     x0 = np.asarray(getattr(x0, "coords", x0), dtype=float)
     rng = stream.generator()
     times = _record_grid(T, dt)
@@ -640,7 +607,7 @@ def simulate_dunkl_b(
         env = _dunkl_envelope(np.abs(x0)[labels].tobytes(), float(nu), env_grid.tobytes())
         states, jump_log, counts = _slot_jump_path(
             env.states, env_grid, times, labels, np.where(x0[labels] < 0, -1.0, 1.0),
-            nu, skip_swaps, rng,
+            nu, rng,
         )
         return PathSample(
             FULL_SPACE,
@@ -667,27 +634,33 @@ def simulate_dunkl_b(
         _, mags = _bootstrap_start(np.abs(x)[srt], CHAMBER_B, nu, min(dt, 1e-3))
         x = np.where(x[srt] < 0, -mags, mags)[np.argsort(srt)]
     sigma = 1.0 / math.sqrt(beta)
+    wall = nu > 0
+    h_floor = 1e-3 * dt
     jump_log = []
     states = np.empty((times.size, x.size))
     states[0] = x
+    min_gap = _gaps(np.sort(np.abs(x))[::-1], wall)[1]
+    count = {"substeps": 0, "floor_substeps": 0, "flips": 0, "sign_swaps": 0}
     t = 0.0
     for idx in range(1, times.size):
         t_target = times[idx]
         while t_target - t > 1e-12 * max(1.0, T):
-            a = np.sort(np.abs(x))
-            g = float(a[0]) if nu > 0 else np.inf
-            if a.size > 1:
-                g = min(g, float(np.min(np.diff(a))))
-            h_cap = min(dt, t_target - t, max(0.25 * g * g * min(1.0, beta), 1e-3 * dt))
+            g = _gaps(np.sort(np.abs(x))[::-1], wall)[1]
+            min_gap = min(min_gap, g)
+            h_gap = 0.25 * g * g * min(1.0, beta)
+            h_cap = min(dt, t_target - t, max(h_gap, h_floor))
             if h_cap <= 0.0 or t + h_cap == t:
                 raise IntegrationError("step size underflow", t, h_cap)
-            h, refl = _next_jump(x, nu, skip_swaps, rng, h_cap)
+            count["substeps"] += 1
+            count["floor_substeps"] += int(h_gap < h_floor)
+            h, refl = _next_jump(x, nu, rng, h_cap)
             noise = sigma * math.sqrt(h)
             cap = max(4.0 * noise, 0.5 * g) if g > 0 else 4.0 * noise
             x = x + _tamed_increment(drift_b(x, nu), h, cap) + noise * rng.standard_normal(x.size)
             if refl is not None:
                 x = apply_reflection(ChamberPoint(x, FULL_SPACE), refl).coords
                 jump_log.append((t + h, refl))
+                count[refl.kind + "s"] += 1
             t += h
         states[idx] = x
     return PathSample(
@@ -697,5 +670,5 @@ def simulate_dunkl_b(
         stream.seed,
         stream.replica,
         jump_log=jump_log,
-        diagnostics={},
+        diagnostics={"min_gap": min_gap, **count},
     )

@@ -7,10 +7,9 @@ from besselsim.chambers import (
     FULL_SPACE,
     ChamberPoint,
     Reflection,
+    _gaps,
     apply_reflection,
-    drift_gap,
     project_to_chamber,
-    regularity_gap,
 )
 
 
@@ -108,22 +107,32 @@ def test_fullspace_and_a_projection_give_same_atoms():
     assert np.array_equal(np.sort(full.coords), np.sort(proj.coords))
 
 
+def _regularity_gap(x, chamber):
+    """Distance to the nearest reflecting hyperplane, through the raw gap routine."""
+    mags = x if chamber == CHAMBER_A else np.sort(np.abs(x))[::-1]
+    return _gaps(mags, chamber != CHAMBER_A)[1]
+
+
 def test_regularity_gap_examples():
-    assert regularity_gap(ChamberPoint(np.array([3.0, 1.0]), CHAMBER_A)) == 2.0
-    assert regularity_gap(ChamberPoint(np.array([2.0, 2.0]), CHAMBER_B)) == 0.0
+    assert _regularity_gap(np.array([3.0, 1.0]), CHAMBER_A) == 2.0
+    assert _regularity_gap(np.array([2.0, 2.0]), CHAMBER_B) == 0.0
     # min over {|3-1|, 3+1, 3, 1}
-    assert regularity_gap(ChamberPoint(np.array([3.0, 1.0]), CHAMBER_B)) == 1.0
+    assert _regularity_gap(np.array([3.0, 1.0]), CHAMBER_B) == 1.0
+    # full space: min over {|x_i - x_j|, |x_i + x_j|, |x_i|}
+    assert _regularity_gap(np.array([-3.0, 2.5, 1.0]), FULL_SPACE) == 0.5
+    d, g = _gaps(np.array([4.0, 1.5, 1.0]), False)
+    assert d.tolist() == [2.5, 0.5] and g == 0.5
 
 
 def test_regularity_gap_single_particle_conventions():
-    assert regularity_gap(ChamberPoint(np.array([5.0]), CHAMBER_A)) == np.inf
-    assert regularity_gap(ChamberPoint(np.array([5.0]), CHAMBER_B)) == 5.0
+    assert _regularity_gap(np.array([5.0]), CHAMBER_A) == np.inf
+    assert _regularity_gap(np.array([5.0]), CHAMBER_B) == 5.0
 
 
 def test_drift_gap_ignores_wall_when_nu_zero():
-    p = ChamberPoint(np.array([3.0, 0.001]), CHAMBER_B)
-    assert drift_gap(p, 0.0) == pytest.approx(2.999)
-    assert drift_gap(p, 1.0) == pytest.approx(0.001)
+    x = np.array([3.0, 0.001])
+    assert _gaps(x, False)[1] == pytest.approx(2.999)
+    assert _gaps(x, True)[1] == pytest.approx(0.001)
 
 
 def test_chamber_point_validation():

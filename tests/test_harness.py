@@ -78,6 +78,12 @@ def test_starting_profiles():
     assert np.allclose(q.coords, expect, atol=1e-9)
     with pytest.raises(ValueError):
         starting_profile("nope", 5)
+    # a misspelt or retired scale tag is refused, never read as sqrt(2n)
+    for bad in ("sqrt_N", "sqrt_2n_squared"):
+        with pytest.raises(ValueError, match="unknown scaling"):
+            starting_profile("zero", 5, bad)
+        with pytest.raises(ValueError, match="unknown scaling"):
+            EmpiricalMeasure.from_point(np.ones(5), bad)
 
 
 def _invert_cdf(law, p):

@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from besselsim.harness import EmpiricalMeasure
 from besselsim.moments import (
     MomentSequence,
     catalan,
-    empirical_moments,
     limit_moment_polys_a,
     limit_moment_polys_b,
     limit_moment_polys_dunkl,
@@ -103,14 +103,16 @@ def test_dunkl_even_chain_is_b_chain_at_doubled_time():
 
 
 def test_empirical_moments_examples():
-    ms = empirical_moments(np.array([1.0, -1.0]), 2)
-    assert np.allclose(ms.values, [1.0, 0.0, 1.0])
+    ms = EmpiricalMeasure(np.array([1.0, -1.0])).moments(2)
+    assert np.allclose(ms, [1.0, 0.0, 1.0])
     # Hermite zeros of H_3 over sqrt(3): second moment (1/9) * sum z^2 = 1/3
     z = hermite_zeros(3).zeros
-    ms = empirical_moments(z / math.sqrt(3), 2)
-    assert abs(ms.values[2] - 1.0 / 3.0) < 1e-12
-    ms = empirical_moments(np.array([2.5]), 4)
-    assert np.allclose(ms.values, [2.5**l for l in range(5)])
+    ms = EmpiricalMeasure(z / math.sqrt(3)).moments(2)
+    assert abs(ms[2] - 1.0 / 3.0) < 1e-12
+    ms = EmpiricalMeasure(np.array([2.5])).moments(4)
+    assert np.allclose(ms, [2.5**l for l in range(5)])
+    with pytest.raises(ValueError):
+        EmpiricalMeasure(np.array([]))
 
 
 def test_moment_sequence_validation():

@@ -18,8 +18,6 @@ from besselsim.chambers import (
 )
 from besselsim.frozen import IntegrationError, drift_a, drift_b, solve_frozen
 from besselsim.stochastic import (
-    MultiplicityA,
-    MultiplicityB,
     RngStream,
     simulate_bessel_a,
     simulate_bessel_b,
@@ -30,16 +28,24 @@ from besselsim.zeros import hermite_zeros
 
 
 def test_multiplicity_validation():
-    MultiplicityA(0.5)
-    MultiplicityA(math.inf)
-    with pytest.raises(ValueError):
-        MultiplicityA(0.4)
-    MultiplicityB(1.0, 0.5)
-    MultiplicityB(0.0, math.inf)
-    with pytest.raises(ValueError):
-        MultiplicityB(0.5, 0.5)  # nu*beta < 1/2
-    with pytest.raises(ValueError):
-        MultiplicityB(1.0, 0.25)
+    x0, s = np.array([1.0, 0.5]), RngStream(0, 0)
+    simulate_bessel_a(x0, 0.5, 0.01, 0.01, s)
+    simulate_bessel_a(x0, math.inf, 0.01, 0.01, s)
+    simulate_bessel_ou(x0, 0.5, 1.0, 0.01, 0.01, s)
+    simulate_bessel_b(x0, 1.0, 0.5, 0.01, 0.01, s)
+    simulate_dunkl_b(x0, 0.0, math.inf, 0.01, 0.01, s)
+    for bad_k in (0.4, math.nan):
+        with pytest.raises(ValueError, match="k >= 1/2"):
+            simulate_bessel_a(x0, bad_k, 0.01, 0.01, s)
+        with pytest.raises(ValueError, match="k >= 1/2"):
+            simulate_bessel_ou(x0, bad_k, 1.0, 0.01, 0.01, s)
+    for simulate in (simulate_bessel_b, simulate_dunkl_b):
+        with pytest.raises(ValueError, match="nu\\*beta >= 1/2"):
+            simulate(x0, 0.5, 0.5, 0.01, 0.01, s)  # nu*beta < 1/2
+        with pytest.raises(ValueError, match="beta >= 1/2"):
+            simulate(x0, 1.0, 0.25, 0.01, 0.01, s)
+        with pytest.raises(ValueError, match="nu must be nonnegative"):
+            simulate(x0, -1.0, math.inf, 0.01, 0.01, s)
 
 
 def test_rng_streams_reproducible_and_independent():
@@ -163,17 +169,16 @@ def test_ou_frozen_long_time_profile():
 
 
 def test_dunkl_jump_rates_examples():
-    blocks = dict(st._jump_blocks(np.array([2.0]), 1.0, skip_swaps=False))
+    blocks = dict(st._jump_blocks(np.array([2.0]), 1.0))
     assert blocks["flip"].tolist() == [1.0 / 8.0]
-    assert blocks["sign_swap"].size == blocks["swap"].size == 0
-    blocks = dict(st._jump_blocks(np.array([2.0, 1.0]), 0.0, skip_swaps=False))
-    assert blocks["swap"].tolist() == [pytest.approx(1.0)]
+    assert blocks["sign_swap"].size == 0
+    blocks = dict(st._jump_blocks(np.array([2.0, 1.0]), 0.0))
     assert blocks["sign_swap"].tolist() == [pytest.approx(1.0 / 9.0)]
     assert "flip" not in blocks
-    assert [kind for kind, _ in st._jump_blocks(np.array([2.0, 1.0]), 1.0, True)] == ["flip", "sign_swap"]
+    assert [kind for kind, _ in st._jump_blocks(np.array([2.0, 1.0]), 1.0)] == ["flip", "sign_swap"]
     # invariance under global sign flip
     x = np.array([1.5, -0.7, 0.3])
-    for (k1, r1), (k2, r2) in zip(st._jump_blocks(x, 2.0, False), st._jump_blocks(-x, 2.0, False)):
+    for (k1, r1), (k2, r2) in zip(st._jump_blocks(x, 2.0), st._jump_blocks(-x, 2.0)):
         assert k1 == k2 and np.array_equal(r1, r2)
 
 
@@ -196,9 +201,8 @@ def test_slot_rates_total_the_full_space_rates():
             slot = {
                 "flip": flip.sum(),
                 "sign_swap": np.where(same, over_sum, over_diff)[upper].sum(),
-                "swap": np.where(same, over_diff, over_sum)[upper].sum(),
             }
-            full = {"flip": 0.0} | {k: r.sum() for k, r in st._jump_blocks(v, nu, skip_swaps=False)}
+            full = {"flip": 0.0} | {k: r.sum() for k, r in st._jump_blocks(v, nu)}
             for kind, total in full.items():
                 assert slot[kind] == pytest.approx(total, rel=1e-12, abs=0.0)
     st._check_bound(4.0, 4.0, 0.1)
@@ -224,12 +228,11 @@ def test_slot_bound_rows_follow_sign_changes():
 
 def test_slot_moves_match_apply_reflection():
     v = np.random.default_rng(6).uniform(-3.0, 3.0, 6)
-    refls = [Reflection("flip", 2), Reflection("sign_swap", 1, 4), Reflection("swap", 0, 5)]
-    refls += [Reflection("sign_swap", 3, 5), Reflection("swap", 2, 3)]
+    refls = [Reflection("flip", 2), Reflection("sign_swap", 1, 4), Reflection("sign_swap", 3, 5)]
     for refl in refls:
         rho, sigma, labels = _slots(v)
         slot_of = np.argsort(labels)
-        st._slot_move(sigma, labels, refl.kind, slot_of[refl.i], None if refl.j is None else slot_of[refl.j])
+        st._slot_move(sigma, labels, slot_of[refl.i], None if refl.j is None else slot_of[refl.j])
         w = np.empty(v.size)
         w[labels] = sigma * rho
         assert np.array_equal(w, apply_reflection(ChamberPoint(v, FULL_SPACE), refl).coords)
@@ -252,18 +255,34 @@ def test_dunkl_frozen_flip_count_is_exact(dt):
 
 def test_dunkl_frozen_jump_counters():
     x0 = np.array([2.0, -1.0, 0.5, 0.25])
-    for skip_swaps in (True, False):
-        p, again = (
-            simulate_dunkl_b(x0, 1.0, math.inf, 0.3, 0.01, RngStream(12, 3), skip_swaps=skip_swaps)
-            for _ in range(2)
-        )
-        d = p.diagnostics
-        assert {k: d[k] for k in st._JUMP_COUNTERS} == {k: again.diagnostics[k] for k in st._JUMP_COUNTERS}
-        assert all(type(d[k]) is int for k in st._JUMP_COUNTERS)
-        kinds = [r.kind for _, r in p.jump_log]
-        assert [d["flips"], d["sign_swaps"], d["swaps"]] == [kinds.count(k) for k in ("flip", "sign_swap", "swap")]
-        assert d["flips"] + d["sign_swaps"] + d["swaps"] == len(p.jump_log) <= d["proposals"]
-        assert d["flips"] > 0 and d["sign_swaps"] > 0 and (d["swaps"] > 0) is not skip_swaps
+    p, again = (simulate_dunkl_b(x0, 1.0, math.inf, 0.3, 0.01, RngStream(12, 3)) for _ in range(2))
+    d = p.diagnostics
+    assert {k: d[k] for k in st._JUMP_COUNTERS} == {k: again.diagnostics[k] for k in st._JUMP_COUNTERS}
+    assert all(type(d[k]) is int for k in st._JUMP_COUNTERS)
+    kinds = [r.kind for _, r in p.jump_log]
+    assert [d["flips"], d["sign_swaps"]] == [kinds.count(k) for k in ("flip", "sign_swap")]
+    assert d["flips"] + d["sign_swaps"] == len(p.jump_log) <= d["proposals"]
+    assert d["flips"] > 0 and d["sign_swaps"] > 0
+
+
+def test_dunkl_finite_beta_counters():
+    x0 = np.array([2.0, -1.0, 0.5, 0.25])
+    keys = {"substeps", "floor_substeps", "flips", "sign_swaps", "min_gap"}
+    p, again = (simulate_dunkl_b(x0, 2.0, 0.5, 0.3, 0.01, RngStream(12, 3)) for _ in range(2))
+    d = p.diagnostics
+    assert set(d) == keys and d == again.diagnostics
+    assert all(type(d[k]) is int for k in keys - {"min_gap"})
+    kinds = [r.kind for _, r in p.jump_log]
+    assert [d["flips"], d["sign_swaps"]] == [kinds.count(k) for k in ("flip", "sign_swap")]
+    assert d["flips"] + d["sign_swaps"] == len(p.jump_log)
+    assert d["flips"] > 0 and d["sign_swaps"] > 0
+    assert d["substeps"] >= p.times.size - 1 and 0 <= d["floor_substeps"] <= d["substeps"]
+    # the smallest distance of |x| to its neighbours and to 0 (nu > 0) is the start's or later
+    mags = np.sort(np.abs(x0))
+    assert 0.0 < d["min_gap"] <= min(mags[0], np.diff(mags).min())
+    # a near-collision start is stepped at the dt/1000 floor
+    q = simulate_dunkl_b(np.array([1.0, 0.9999]), 1.0, 1.0, 0.01, 0.01, RngStream(12, 3)).diagnostics
+    assert q["floor_substeps"] >= 1 and q["min_gap"] == pytest.approx(1e-4)
 
 
 def test_dunkl_frozen_even_moments_deterministic():
@@ -284,9 +303,9 @@ def test_dunkl_frozen_magnitudes_match_frozen_b():
 
 
 def test_dunkl_no_flips_without_nu_term():
-    # nu = 0, positive start, swaps skipped: signs appear only via sign-swaps
+    # nu = 0, positive start: signs appear only via sign-swaps
     x0 = np.linspace(4.0, 1.0, 6)
-    p = simulate_dunkl_b(x0, 0.0, math.inf, 0.2, 0.01, RngStream(8, 0), skip_swaps=True)
+    p = simulate_dunkl_b(x0, 0.0, math.inf, 0.2, 0.01, RngStream(8, 0))
     kinds = {r.kind for _, r in p.jump_log}
     assert "flip" not in kinds
     assert kinds <= {"sign_swap"}
@@ -552,8 +571,8 @@ def test_jump_rates_at_opposite_and_zero_coordinates_do_not_warn():
         warnings.simplefilter("error")
         simulate_dunkl_b(np.zeros(4), 0.0, math.inf, 0.1, 0.02, RngStream(1, 0))
         x0 = np.array([1.0, -1.0, 0.5, 0.0])
-        p = simulate_dunkl_b(x0, 0.0, math.inf, 0.1, 0.02, RngStream(1, 0), skip_swaps=False)
-        blocks = dict(st._jump_blocks(x0, 0.0, skip_swaps=False))
+        p = simulate_dunkl_b(x0, 0.0, math.inf, 0.1, 0.02, RngStream(1, 0))
+        blocks = dict(st._jump_blocks(x0, 0.0))
     assert blocks["sign_swap"][0] == 0.0  # x_0 + x_1 = 0 is excluded
-    assert blocks["swap"][0] == 0.25
+    assert blocks["sign_swap"][1] == pytest.approx(1.0 / 2.25)
     assert np.all(np.isfinite(p.states))
