@@ -19,6 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
+_START_HELP = "zero | quartercircle | semicircle[:R] | profile:C | file:PATH"
+_MU_HELP = "zero | quartercircle | semicircle[:R] | FILE.csv"
+
 
 def _parse_grid(spec: str):
     t0, t1, steps = spec.split(":")
@@ -32,7 +35,7 @@ def _cmd_zeros(args):
         prof = hermite_zeros(args.n)
     else:
         if args.nu is None:
-            raise SystemExit("laguerre zeros need --nu")
+            raise ValueError("laguerre zeros need --nu")
         prof = laguerre_zeros(args.n, args.nu)
     lines = ["zero"] + [f"{z:.17g}" for z in prof.zeros]
     _write_lines(args.out, lines)
@@ -40,24 +43,42 @@ def _cmd_zeros(args):
     return 0
 
 
-def _cmd_frozen(args):
-    from .frozen import solve_frozen
-    from .zeros import hermite_zeros, laguerre_zeros
+def _start(args, chamber):
+    """The ``--n`` coordinates named by ``--start``.
 
-    grid = _parse_grid(args.t_grid)
-    if args.start == "zero":
-        x0 = np.zeros(args.n)
-    elif args.start.startswith("profile:"):
-        c = float(args.start.split(":", 1)[1])
-        if args.system == "a":
-            x0 = c * hermite_zeros(args.n).zeros
+    A ``harness.start_law`` name gives quantiles scaled by sqrt(N), or by
+    sqrt(2N) in chamber B; ``profile:C`` is the zero profile C * (Hermite
+    zeros) in chamber A, else C * sqrt(Laguerre zeros at --nu);
+    ``file:PATH`` holds unscaled coordinates, one per line.
+    """
+    from .chambers import CHAMBER_A, CHAMBER_B
+    from .harness import SCALE_SQRT_2N, SCALE_SQRT_N, starting_profile
+    from .zeros import profile_solution_a, profile_solution_b
+
+    name, _, arg = args.start.partition(":")
+    try:
+        if name != "profile":
+            scaling = SCALE_SQRT_2N if chamber == CHAMBER_B else SCALE_SQRT_N
+            x0 = starting_profile(args.start, args.n, scaling, chamber).coords
+        elif chamber == CHAMBER_A:
+            x0 = profile_solution_a(args.n, float(arg), 0.0).coords
         else:
-            x0 = c * np.sqrt(laguerre_zeros(args.n, args.nu).zeros)
-    elif args.start.startswith("file:"):
-        x0 = np.loadtxt(args.start.split(":", 1)[1], ndmin=1)
-    else:
-        raise SystemExit(f"unknown start {args.start!r}")
-    traj = solve_frozen(args.system, x0, grid, nu=args.nu if args.system == "b" else None)
+            x0 = profile_solution_b(args.n, args.nu, float(arg), 0.0).coords
+    except (OSError, ValueError) as err:
+        raise ValueError(f"--start {args.start}: {err}") from None
+    if x0.size != args.n:
+        raise ValueError(f"--start {args.start} holds {x0.size} coordinates but --n is {args.n}")
+    return x0
+
+
+def _cmd_frozen(args):
+    from .chambers import CHAMBER_A, CHAMBER_B
+    from .frozen import solve_frozen
+
+    if args.system == "b" and args.nu is None:
+        raise ValueError("--system b needs --nu")
+    x0 = _start(args, CHAMBER_A if args.system == "a" else CHAMBER_B)
+    traj = solve_frozen(args.system, x0, _parse_grid(args.t_grid), nu=args.nu)
     lines = ["t,particle,x"]
     for i, t in enumerate(traj.times):
         for p, x in enumerate(traj.states[i]):
@@ -68,6 +89,7 @@ def _cmd_frozen(args):
 
 
 def _cmd_simulate(args):
+    from .chambers import CHAMBER_A, CHAMBER_B, FULL_SPACE
     from .stochastic import (
         RngStream,
         _record_grid,
@@ -85,17 +107,10 @@ def _cmd_simulate(args):
     }
     missing = [f"--{name}" for name in needed[args.system] if getattr(args, name) is None]
     if missing:
-        raise SystemExit(f"{args.system} needs {' and '.join(missing)}")
-    if args.start is not None:
-        x0 = np.loadtxt(args.start, ndmin=1)
-        if x0.size != args.n:
-            raise SystemExit(f"--start {args.start} holds {x0.size} coordinates but --n is {args.n}")
-    else:
-        x0 = np.zeros(args.n)
-    try:
-        grid = _record_grid(args.t, args.dt)
-    except ValueError:
-        raise SystemExit(f"simulate needs --t >= 0 and --dt > 0, got --t {args.t:g} --dt {args.dt:g}")
+        raise ValueError(f"{args.system} needs {' and '.join(missing)}")
+    chamber = {"bessel-a": CHAMBER_A, "bessel-ou": CHAMBER_A, "bessel-b": CHAMBER_B, "dunkl-b": FULL_SPACE}
+    x0 = _start(args, chamber[args.system])
+    grid = _record_grid(args.t, args.dt)
     # the record grid splits [0, t] into round(t/dt) equal steps
     spacing = args.t / (grid.size - 1) if grid.size > 1 else None
     if spacing is not None and abs(spacing - args.dt) > 1e-12 * args.dt:
@@ -111,7 +126,7 @@ def _cmd_simulate(args):
     for t_rec in record:
         idx = int(np.argmin(np.abs(grid - t_rec)))
         if not 0.0 <= t_rec <= args.t or abs(grid[idx] - t_rec) > 1e-9 * max(1.0, args.t):
-            raise SystemExit(
+            raise ValueError(
                 f"--record {t_rec:g} is not on the record grid of --t {args.t:g} --dt {args.dt:g}; "
                 f"the nearest grid time is {grid[idx]:.12g}"
             )
@@ -127,10 +142,7 @@ def _cmd_simulate(args):
     runs = {}
     diagnostics = []
     for r in range(args.replicas):
-        try:
-            path = run_one(RngStream(args.seed, r))
-        except ValueError as err:
-            raise SystemExit(f"simulate: {err}")
+        path = run_one(RngStream(args.seed, r))
         # strict JSON has no infinity (the gap of a single particle): write "inf"
         diagnostics.append(
             {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v for k, v in path.diagnostics.items()}
@@ -165,37 +177,15 @@ def _cmd_simulate(args):
     return 0
 
 
-def _csv_moments(spec):
-    """The moments m_0 = 1, m_1, ... of a CSV start, one per row."""
+def _mu(spec):
+    """The start named by ``--mu``: a law of ``harness.start_law``, or the
+    moments m_0 = 1, m_1, ... of a ``FILE.csv``, one per row."""
+    from .harness import start_law
+
     try:
-        return list(np.loadtxt(spec, ndmin=1))
+        return list(np.loadtxt(spec, ndmin=1)) if spec.endswith(".csv") else start_law(spec)
     except (OSError, ValueError) as err:
-        raise SystemExit(f"--mu {spec}: {err}")
-
-
-def _start_law(spec):
-    """Start law named by ``--mu delta0 | quartercircle | semicircle[:R] | FILE.csv``.
-
-    A CSV start becomes the atoms of the Gauss rule of its moments, whose
-    depth K is printed.  Bad input exits with a message naming it.
-    """
-    from .freeprob import Atoms, atom_law, atoms_from_moments, quartercircle_law, semicircle
-
-    name, colon, arg = spec.partition(":")
-    try:
-        if spec == "delta0":
-            return atom_law([0.0])
-        if spec == "quartercircle":
-            return quartercircle_law()
-        if name == "semicircle":
-            return semicircle(float(arg) if colon else 2.0)
-        if spec.endswith(".csv"):
-            law = Atoms(*atoms_from_moments(_csv_moments(spec)))
-            print(f"--mu {spec}: Gauss rule of depth K = {law.locs.size}")
-            return law
-    except ValueError as err:
-        raise SystemExit(f"--mu {spec}: {err}")
-    raise SystemExit(f"--mu {spec}: unknown start measure (delta0 | quartercircle | semicircle:R | FILE.csv)")
+        raise ValueError(f"--mu {spec}: {err}") from None
 
 
 def _cmd_limit_moments(args):
@@ -203,44 +193,41 @@ def _cmd_limit_moments(args):
     from .moments import limit_moments_a, limit_moments_b, limit_moments_dunkl
 
     L = args.order
+    mu0 = _mu(args.mu)
     # a CSV start gives its moments as they are; a Gauss rule would match only its first 2K
-    c0 = _csv_moments(args.mu) if args.mu.endswith(".csv") else _start_law(args.mu).moments(2 * L)
+    c0 = mu0 if isinstance(mu0, list) else mu0.moments(2 * L)
     recurrence = {
         "a": lambda c0: limit_moments_a(c0, args.t, L),
         # type B starts live on [0, inf); its recurrence takes the moments of x^2
         "b": lambda c0: limit_moments_b(square_moments(c0), args.nu0, args.t, L),
         "dunkl": lambda c0: limit_moments_dunkl(c0, args.nu0, args.t, L),
     }[args.system]
-    try:
-        ms = recurrence(c0)
-    except ValueError as err:
-        raise SystemExit(f"limit-moments: --mu {args.mu}: {err}")
-    lines = ["order,moment"] + [f"{l},{float(v):.17g}" for l, v in enumerate(ms.values)]
+    lines = ["order,moment"] + [f"{l},{float(v):.17g}" for l, v in enumerate(recurrence(c0).values)]
     _write_lines(args.out, lines)
     print(f"limit-moments {args.system} t={args.t} -> {args.out}")
     return 0
 
 
 def _cmd_limit_law(args):
-    from .freeprob import dunkl_limit_law, limit_law_a, limit_law_b
+    from .freeprob import Atoms, atoms_from_moments, dunkl_limit_law, limit_law_a, limit_law_b
 
-    mu0 = _start_law(args.mu)
-    try:
-        make = {"a": lambda mu0, nu0, t: limit_law_a(mu0, t), "b": limit_law_b, "dunkl": dunkl_limit_law}
-        law = make[args.kind](mu0, args.nu0, args.t)
-        if args.stieltjes:
-            zs = np.loadtxt(args.stieltjes, dtype=complex, ndmin=1)
-            lines = ["z,G"] + [f"{z:.12g},{law.stieltjes(complex(z)):.12g}" for z in zs]
-        else:
-            grid = _parse_grid(args.grid)
-            inv = law.spectral_density(grid)
-            print(
-                f"inversion: {int(inv.diverged.sum())} of {grid.size} points flagged, "
-                f"clipped negative mass {inv.clip_mass:.3g}, total mass {inv.mass():.6g}"
-            )
-            lines = ["x,density"] + [f"{x:.12g},{d:.17g}" for x, d in zip(grid, inv.density)]
-    except ValueError as err:  # FreeProbDomainError included
-        raise SystemExit(f"limit-law: {err}")
+    mu0 = _mu(args.mu)
+    if isinstance(mu0, list):
+        mu0 = Atoms(*atoms_from_moments(mu0))
+        print(f"--mu {args.mu}: Gauss rule of depth K = {mu0.locs.size}")
+    make = {"a": lambda mu0, nu0, t: limit_law_a(mu0, t), "b": limit_law_b, "dunkl": dunkl_limit_law}
+    law = make[args.kind](mu0, args.nu0, args.t)
+    if args.stieltjes:
+        zs = np.loadtxt(args.stieltjes, dtype=complex, ndmin=1)
+        lines = ["z,G"] + [f"{z:.12g},{law.stieltjes(complex(z)):.12g}" for z in zs]
+    else:
+        grid = _parse_grid(args.grid)
+        inv = law.spectral_density(grid)
+        print(
+            f"inversion: {int(inv.diverged.sum())} of {grid.size} points flagged, "
+            f"clipped negative mass {inv.clip_mass:.3g}, total mass {inv.mass():.6g}"
+        )
+        lines = ["x,density"] + [f"{x:.12g},{d:.17g}" for x, d in zip(grid, inv.density)]
     _write_lines(args.out, lines)
     print(f"limit-law {args.kind} -> {args.out}")
     return 0
@@ -252,19 +239,14 @@ def _cmd_validate(args):
     config = json.loads(Path(args.config).read_text())
     if args.replicas is not None:
         config["replicas"] = args.replicas
-    try:
-        report = run_experiment(config, out_dir=args.out)
-    except ValueError as err:
-        raise SystemExit(f"validate: {err}")
-    n_hard = sum(1 for r in report.rows if r["hard"])
-    n_fail = sum(1 for r in report.rows if r["hard"] and not r["passed"])
+    report = run_experiment(config, out_dir=args.out)
     for r in report.rows:
-        status = "PASS" if r["passed"] else ("FAIL" if r["hard"] else "warn")
         print(
-            f'[{status}] {r["name"]} n={r["n"]} t={r["t"]:g} {r["metric"]}: '
+            f'[{"PASS" if r["passed"] else "FAIL"}] {r["name"]} n={r["n"]} t={r["t"]:g} {r["metric"]}: '
             f'{r["value"]:.4g} <= {r["threshold"]:.4g}'
         )
-    print(f"{n_hard - n_fail}/{n_hard} hard checks passed")
+    n_passed = sum(r["passed"] for r in report.rows)
+    print(f"{n_passed}/{len(report.rows)} hard checks passed")
     return 0 if report.passed else 1
 
 
@@ -288,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--system", choices=["a", "b"], required=True)
     f.add_argument("--n", type=int, required=True)
     f.add_argument("--nu", type=float, default=None)
-    f.add_argument("--start", default="zero", help="zero | profile:C | file:PATH")
+    f.add_argument("--start", default="zero", help=_START_HELP)
     f.add_argument("--t-grid", required=True, help="T0:T1:STEPS")
     f.add_argument("--out", required=True)
     f.set_defaults(func=_cmd_frozen)
@@ -307,13 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--replicas", type=int, default=1)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--record", default=None, help="comma-separated record times")
-    s.add_argument("--start", default=None, help="file with initial coordinates")
+    s.add_argument("--start", default="zero", help=_START_HELP)
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_simulate)
 
     m = sub.add_parser("limit-moments", help="limiting moment recurrences")
     m.add_argument("--system", choices=["a", "b", "dunkl"], required=True)
-    m.add_argument("--mu", default="delta0", help="delta0 | quartercircle | semicircle:R | FILE.csv")
+    m.add_argument("--mu", default="zero", help=_MU_HELP)
     m.add_argument("--nu0", type=float, default=0.0)
     m.add_argument("--t", type=float, required=True)
     m.add_argument("--order", type=int, default=12)
@@ -322,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ll = sub.add_parser("limit-law", help="limit-law density / Stieltjes dumps")
     ll.add_argument("--kind", choices=["a", "b", "dunkl"], required=True)
-    ll.add_argument("--mu", default="delta0")
+    ll.add_argument("--mu", default="zero", help=_MU_HELP)
     ll.add_argument("--nu0", type=float, default=0.0)
     ll.add_argument("--t", type=float, required=True)
     ll.add_argument("--grid", default="-4:4:401", help="A:B:K abscissa grid")
@@ -339,8 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; bad input exits with one line naming the command."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as err:
+        raise SystemExit(f"{args.command}: {err}") from None
 
 
 if __name__ == "__main__":

@@ -624,8 +624,9 @@ class DunklLaw(LimitLaw):
     """
 
     def __init__(self, mu0: LimitLaw, nu0: float, t: float):
+        if nu0 < 0:
+            raise ValueError("nu0 must be nonnegative")
         self.mu0, self.nu0, self.t = mu0, float(nu0), float(t)
-        self.even_law = sqrt_law(limit_law_b(mu0, nu0, 2.0 * t).sq_law, symmetrized=True)
 
     def cauchy(self, z):
         if z.imag < 0:
@@ -668,8 +669,8 @@ class DunklLaw(LimitLaw):
     def moments(self, L):
         return limit_moments_dunkl(self.mu0.moments(L), self.nu0, self.t, L).floats().tolist()
 
-    def support_radius(self):
-        return self.even_law.support_radius()
+    def support_radius(self):  # that of the even part
+        return sqrt_law(limit_law_b(self.mu0, self.nu0, 2.0 * self.t).sq_law, symmetrized=True).support_radius()
 
     def spectral_density(self, grid):
         if isinstance(self.mu0, Quartercircle) and self.nu0 == 0:

@@ -27,7 +27,7 @@ from .chambers import (
     _gaps,
     project_to_chamber,
 )
-from .zeros import hermite_zeros, laguerre_zeros
+from .zeros import profile_solution_a, profile_solution_b
 
 
 # Dormand-Prince tolerances, the step cap h <= _GAP_SAFETY * gap^2, the horizon
@@ -128,7 +128,8 @@ def _bootstrap_start(x0: np.ndarray, chamber: str, nu: float, delta: float):
     Returns (needs_bootstrap, state at t=delta).  Interior clusters of
     either type split by the local Hermite pattern scaled by sqrt(2 delta);
     a type B cluster at zero splits by sqrt(2 delta) * sqrt(Laguerre zeros),
-    which for a full zero start is the exact solution.
+    which for a full zero start is the exact solution.  Both patterns are
+    the zero profiles ``profile_solution_a/b`` with c = 0 at t = delta.
     """
     x = x0.copy()
     n = x.size
@@ -141,7 +142,6 @@ def _bootstrap_start(x0: np.ndarray, chamber: str, nu: float, delta: float):
         clusters.append((i, j + 1))
         i = j + 1
     touched = False
-    scale = math.sqrt(2.0 * delta)
     for lo, hi in clusters:
         m = hi - lo
         at_zero = chamber == CHAMBER_B and x[lo] == 0.0
@@ -152,9 +152,9 @@ def _bootstrap_start(x0: np.ndarray, chamber: str, nu: float, delta: float):
             # nu = 0 keeps no wall repulsion; split by the vanishing-nu
             # Laguerre pattern, which is strictly interior for t > 0.
             nu_loc = nu if nu > 0 else m * 1e-6
-            x[lo:hi] = scale * np.sqrt(laguerre_zeros(m, nu_loc).zeros)
+            x[lo:hi] = profile_solution_b(m, nu_loc, 0.0, delta).coords
         else:
-            x[lo:hi] = x[lo] + scale * hermite_zeros(m).zeros
+            x[lo:hi] = x[lo] + profile_solution_a(m, 0.0, delta).coords
     if touched and not _order_ok(x, chamber):
         raise IntegrationError("bootstrap clusters overlap; reduce delta", 0.0, delta)
     return touched, x

@@ -52,7 +52,7 @@ from .chambers import (
     apply_reflection,
     project_to_chamber,
 )
-from .frozen import IntegrationError, drift_a, drift_b, solve_frozen
+from .frozen import IntegrationError, _bootstrap_start, drift_a, drift_b, solve_frozen
 
 # Pairs closer than this to a reflecting hyperplane are excluded from jump
 # thinning: their rates are unbounded but the reflections displace the state
@@ -113,7 +113,7 @@ class PathSample:
 
 def _record_grid(T: float, dt: float) -> np.ndarray:
     if T < 0 or dt <= 0:
-        raise ValueError("need T >= 0 and dt > 0")
+        raise ValueError(f"need T >= 0 and dt > 0, got T = {T:g}, dt = {dt:g}")
     if T == 0:
         return np.array([0.0])
     n = max(1, int(round(T / dt)))
@@ -284,14 +284,17 @@ def _em_start(x0, chamber, nu, dt):
 
     The scheme's pathwise error is O(sqrt(dt)) anyway, so the bootstrap
     horizon for stochastic runs is tied to dt rather than the much smaller
-    deterministic default.
+    deterministic default.  A full-space start splits its magnitudes as a
+    type B start and keeps its signs.
     """
-    from .frozen import _bootstrap_start
-
     point = x0 if isinstance(x0, ChamberPoint) else project_to_chamber(x0, chamber)
     delta = min(dt, 1e-3)
-    _, x = _bootstrap_start(point.coords.copy(), chamber, nu, delta)
-    return x
+    x = point.coords
+    if chamber != FULL_SPACE:
+        return _bootstrap_start(x, chamber, nu, delta)[1]
+    srt = np.argsort(np.abs(x))[::-1]
+    _, mags = _bootstrap_start(np.abs(x)[srt], CHAMBER_B, nu, delta)
+    return np.where(x[srt] < 0, -mags, mags)[np.argsort(srt)]
 
 
 def simulate_bessel_ou(
@@ -626,13 +629,7 @@ def simulate_dunkl_b(
         )
 
     # Finite beta: operator splitting with Euler drift and diffusion legs.
-    x = x0.copy()
-    if np.any(x == 0.0) or np.any(np.diff(np.sort(np.abs(x))) == 0.0):
-        from .frozen import _bootstrap_start
-
-        srt = np.argsort(np.abs(x))[::-1]
-        _, mags = _bootstrap_start(np.abs(x)[srt], CHAMBER_B, nu, min(dt, 1e-3))
-        x = np.where(x[srt] < 0, -mags, mags)[np.argsort(srt)]
+    x = _em_start(x0, FULL_SPACE, nu, dt)
     sigma = 1.0 / math.sqrt(beta)
     wall = nu > 0
     h_floor = 1e-3 * dt

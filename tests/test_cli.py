@@ -92,7 +92,7 @@ def test_simulate_names_missing_parameter(tmp_path, system, given, flag):
 @pytest.mark.parametrize(
     "extra,message",
     [
-        (["--start", "{start}"], "holds 3 coordinates but --n is 4"),
+        (["--start", "file:{start}"], "holds 3 coordinates but --n is 4"),
         (["--record", "0.04"], "nearest grid time is 0.0333333333333$"),
         (["--record", "0.1,0.12"], "--record 0.12 .* nearest grid time is 0.1$"),
         (["--record", "-0.01"], "nearest grid time is 0$"),
@@ -119,7 +119,7 @@ def test_simulate_reports_record_spacing_and_diagnostics(tmp_path, capsys):
     start = tmp_path / "x0.txt"
     start.write_text("2\n-1\n0.5\n")
     argv = ["simulate", "--system", "dunkl-b", "--nu", "1", "--beta", "inf", "--n", "3"]
-    argv += ["--start", str(start), "--replicas", "2", "--t", "0.1"]
+    argv += ["--start", f"file:{start}", "--replicas", "2", "--t", "0.1"]
     assert main(argv + ["--dt", "0.07", "--out", str(tmp_path / "coarse")]) == 0
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "states are recorded at spacing 0.1\n" in err
@@ -146,7 +146,7 @@ def test_simulate_reports_record_spacing_and_diagnostics(tmp_path, capsys):
 def test_limit_moments_subcommand(tmp_path):
     out = tmp_path / "m.csv"
     rc = main(
-        ["limit-moments", "--system", "a", "--mu", "delta0", "--t", "1.0", "--order", "6", "--out", str(out)]
+        ["limit-moments", "--system", "a", "--mu", "zero", "--t", "1.0", "--order", "6", "--out", str(out)]
     )
     assert rc == 0
     vals = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
@@ -161,7 +161,7 @@ def test_limit_law_density_subcommand(tmp_path):
             "--kind",
             "a",
             "--mu",
-            "delta0",
+            "zero",
             "--t",
             "0.25",
             "--grid=-1:1:5",
@@ -227,7 +227,7 @@ def test_limit_law_b_density_subcommand(tmp_path):
             "--kind",
             "b",
             "--mu",
-            "delta0",
+            "zero",
             "--nu0",
             "1.0",
             "--t",
@@ -301,7 +301,8 @@ def test_limit_law_b_quartercircle_start_writes_a_density(tmp_path, capsys):
 @pytest.mark.parametrize(
     "kind,nu0", [("a", "0"), ("b", "0"), ("b", "1"), ("dunkl", "0"), ("dunkl", "1")]
 )
-@pytest.mark.parametrize("mu", ["delta0", "quartercircle", "semicircle:1.5"])
+# the ids name the start laws; the point mass delta0 is `zero` on the command line
+@pytest.mark.parametrize("mu", [pytest.param("zero", id="delta0"), "quartercircle", "semicircle:1.5"])
 def test_limit_law_every_kind_and_start_has_unit_mass(tmp_path, capsys, kind, nu0, mu):
     # the default grid -4:4:401 covers every support here; a half-line law's
     # jump at x = 0 costs up to h f(0+)/2 of trapezoid mass
@@ -338,7 +339,7 @@ def test_limit_moments_start_lists_are_unchanged(tmp_path, system):
     L, t = 8, 0.5
     recurrence = {"a": limit_moments_a, "dunkl": lambda c, t, L: limit_moments_dunkl(c, 0.0, t, L)}[system]
     starts = {
-        "delta0": [1.0] + [0.0] * (2 * L),
+        "zero": [1.0] + [0.0] * (2 * L),
         "quartercircle": list(quartercircle_moments(2 * L)),
         "semicircle:1.5": [float(v) for v in semicircle_moments(1.5 * 1.5, 2 * L)],
     }
@@ -402,3 +403,82 @@ def test_limit_moments_csv_start_shorter_than_the_order_fails(tmp_path, system, 
     with pytest.raises(SystemExit, match="need initial moments up to the requested order"):
         main(argv + ["--out", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["frozen", "--system", "b", "--n", "3", "--t-grid", "0:1:3"], "frozen: --system b needs --nu$"),
+        (
+            ["frozen", "--system", "b", "--n", "3", "--start", "profile:1", "--t-grid", "0:1:3"],
+            "frozen: --system b needs --nu$",
+        ),
+        (
+            ["frozen", "--system", "a", "--n", "3", "--start", "file:{missing}", "--t-grid", "0:1:3"],
+            "frozen: --start file:.*missing.txt: .*not found",
+        ),
+        (["frozen", "--system", "a", "--n", "3", "--t-grid", "1:0:3"], "frozen: t_grid must be nonnegative"),
+        (
+            ["frozen", "--system", "a", "--n", "3", "--start", "profile:-1", "--t-grid", "0:1:3"],
+            "frozen: --start profile:-1: c and t must be nonnegative",
+        ),
+        (
+            ["frozen", "--system", "b", "--nu", "1", "--n", "3", "--start", "profile:-1", "--t-grid", "0:1:3"],
+            "frozen: --start profile:-1: c and t must be nonnegative",
+        ),
+        (["zeros", "--family", "laguerre", "--n", "3", "--nu", "0"], "zeros: nu must be positive"),
+        (["validate", "--config", "{missing}"], "validate: .*No such file or directory"),
+        (
+            ["simulate", "--system", "bessel-a", "--k", "1", "--n", "3", "--t", "-1", "--dt", "0.1"],
+            "simulate: need T >= 0 and dt > 0, got T = -1, dt = 0.1$",
+        ),
+    ],
+)
+def test_bad_input_exits_with_one_line_naming_the_command(tmp_path, argv, message):
+    argv = [a.format(missing=tmp_path / "missing.txt") for a in argv]
+    if argv[0] != "validate":
+        argv += ["--out", str(tmp_path / "o.csv")]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    text = str(err.value.code)
+    assert re.match(message, text) and "\n" not in text
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("system", ["a", "b"])
+@pytest.mark.parametrize("c", ["0.7", "1"])
+def test_frozen_profile_start_is_the_exact_zero_profile(tmp_path, system, c):
+    from besselsim.zeros import profile_solution_a, profile_solution_b
+
+    n, nu, out = 6, 1.5, tmp_path / "p.csv"
+    argv = ["frozen", "--system", system, "--n", str(n), "--start", f"profile:{c}", "--t-grid", "0:1:5"]
+    argv += ["--nu", str(nu)] if system == "b" else []
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    for t in np.linspace(0.0, 1.0, 5):
+        profile = profile_solution_a(n, float(c), t) if system == "a" else profile_solution_b(n, nu, float(c), t)
+        assert np.abs(rows[rows[:, 0] == t, 2] - profile.coords).max() < 1e-8
+
+
+def test_file_start_round_trips_through_frozen_and_simulate(tmp_path):
+    x0 = np.array([0.5, -2.0, 1.25])
+    start = tmp_path / "x0.txt"
+    np.savetxt(start, x0)
+    out = tmp_path / "f.csv"
+    argv = ["frozen", "--system", "a", "--n", "3", "--start", f"file:{start}", "--t-grid", "0:0.1:2"]
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.array_equal(rows[rows[:, 0] == 0, 2], np.sort(x0)[::-1])
+    # a full-space start keeps the file's order and signs
+    argv = ["simulate", "--system", "dunkl-b", "--nu", "1", "--beta", "2", "--n", "3", "--start", f"file:{start}"]
+    assert main(argv + ["--t", "0.02", "--dt", "0.01", "--record", "0", "--out", str(tmp_path / "run")]) == 0
+    assert np.array_equal(np.loadtxt(tmp_path / "run" / "states_t0.csv", delimiter=","), x0)
+
+
+def test_simulate_law_start_records_the_quantile_start(tmp_path):
+    from besselsim.harness import starting_profile
+
+    argv = ["simulate", "--system", "bessel-a", "--k", "1", "--n", "6", "--start", "semicircle:2"]
+    assert main(argv + ["--t", "0.02", "--dt", "0.01", "--record", "0", "--out", str(tmp_path / "run")]) == 0
+    got = np.loadtxt(tmp_path / "run" / "states_t0.csv", delimiter=",")
+    assert np.array_equal(got, starting_profile("semicircle:2", 6).coords)

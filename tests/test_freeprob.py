@@ -451,18 +451,27 @@ def test_dunkl_density_keeps_sign_and_gap_on_401_points():
     assert not sd.diverged.any()
 
 
+def test_dunkl_law_refuses_negative_nu0_at_construction():
+    for make in (fp.DunklLaw, fp.dunkl_limit_law):
+        with pytest.raises(ValueError, match="nu0 must be nonnegative"):
+            make(fp.quartercircle_law(), -0.5, 0.5)
+
+
 def test_dunkl_even_part_agrees_with_b_composite():
     # the even component of the limit law equals the doubled-time sqrt
     # composite of the type B theory
     qc = fp.quartercircle_law()
     t, nu0 = 0.5, 1.0
     law = fp.dunkl_limit_law(qc, nu0, t)
-    even = law.even_law
+    composite = fp.limit_law_b(qc, nu0, 2 * t).sq_law
     sq0 = fp.even_part_moments(list(fp.quartercircle_moments(32)))
     half = [sq0[2 * l] for l in range(17)]
     ref = limit_moments_b(half, nu0, 2 * t, 16).floats()
-    got = np.array([even.sq_law.moment(l) for l in range(17)])
+    # the composite's cumulant route and the Dunkl recurrence's even moments
+    got = np.array([composite.moment(l) for l in range(17)])
     assert np.abs(got - ref).max() < 1e-8
+    assert np.abs(np.array(law.moments(32)[0::2]) - ref).max() < 1e-8
+    assert law.support_radius() == math.sqrt(composite.support_radius())
 
 
 # ---------------------------------------------------------------------------

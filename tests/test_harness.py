@@ -86,6 +86,25 @@ def test_starting_profiles():
             EmpiricalMeasure.from_point(np.ones(5), bad)
 
 
+def test_start_law_names():
+    assert harness.start_law("zero").support_radius() == 0.0
+    assert isinstance(harness.start_law("quartercircle"), fp.Quartercircle)
+    assert harness.start_law("semicircle").support_radius() == 2.0
+    assert harness.start_law("semicircle:1.5").support_radius() == 1.5
+    for bad in ("delta0", "semicircle2", "file:x0.txt"):
+        with pytest.raises(ValueError, match="unknown start measure"):
+            harness.start_law(bad)
+    # a law of radius 0 starts every particle at 0
+    assert np.array_equal(starting_profile("semicircle:0", 3).coords, np.zeros(3))
+
+
+def test_starting_profile_reads_a_file_unscaled(tmp_path):
+    path = tmp_path / "x0.txt"
+    path.write_text("1\n-3\n2\n")
+    for chamber, expect in ((CHAMBER_A, [2.0, 1.0, -3.0]), (CHAMBER_B, [3.0, 2.0, 1.0])):
+        assert np.array_equal(starting_profile(f"file:{path}", 3, SCALE_SQRT_2N, chamber).coords, expect)
+
+
 def _invert_cdf(law, p):
     from scipy.optimize import brentq
 

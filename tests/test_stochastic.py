@@ -576,3 +576,19 @@ def test_jump_rates_at_opposite_and_zero_coordinates_do_not_warn():
     assert blocks["sign_swap"][0] == 0.0  # x_0 + x_1 = 0 is excluded
     assert blocks["sign_swap"][1] == pytest.approx(1.0 / 2.25)
     assert np.all(np.isfinite(p.states))
+
+
+def test_em_start_splits_full_space_magnitudes_and_keeps_signs():
+    from besselsim.frozen import _bootstrap_start
+
+    x0 = np.array([-1.0, 0.0, 1.0, 2.0, -0.5])
+    x = st._em_start(x0, FULL_SPACE, 1.0, 0.01)
+    nonzero = x0 != 0
+    assert np.array_equal(np.sign(x[nonzero]), np.sign(x0[nonzero]))
+    # the magnitudes are the type B split of the sorted magnitudes
+    mags = _bootstrap_start(np.sort(np.abs(x0))[::-1], CHAMBER_B, 1.0, 0.001)[1]
+    assert np.array_equal(np.sort(np.abs(x))[::-1], mags)
+    assert np.all(np.diff(mags) < 0) and mags[-1] > 0
+    # a start off every hyperplane is returned as it is
+    plain = np.array([0.3, -1.2, 2.0])
+    assert np.array_equal(st._em_start(plain, FULL_SPACE, 1.0, 0.01), plain)
