@@ -21,11 +21,20 @@ import numpy as np
 
 _START_HELP = "zero | quartercircle | semicircle[:R] | profile:C | file:PATH"
 _MU_HELP = "zero | quartercircle | semicircle[:R] | FILE.csv"
+_T_GRID_FORM = "T0:T1:COUNT"
+_X_GRID_FORM = "X0:X1:COUNT"
 
 
-def _parse_grid(spec: str):
-    t0, t1, steps = spec.split(":")
-    return np.linspace(float(t0), float(t1), int(steps))
+def _parse_grid(flag: str, spec: str, form: str):
+    """``np.linspace`` of a ``START:STOP:COUNT`` spec; bad input names ``flag`` and ``form``."""
+    try:
+        a, b, count = spec.split(":")
+        grid = np.linspace(float(a), float(b), int(count))
+        if grid.size:
+            return grid
+    except ValueError:
+        pass
+    raise ValueError(f"{flag} {spec}: expected {form}")
 
 
 def _cmd_zeros(args):
@@ -78,13 +87,17 @@ def _cmd_frozen(args):
     if args.system == "b" and args.nu is None:
         raise ValueError("--system b needs --nu")
     x0 = _start(args, CHAMBER_A if args.system == "a" else CHAMBER_B)
-    traj = solve_frozen(args.system, x0, _parse_grid(args.t_grid), nu=args.nu)
+    grid = _parse_grid("--t-grid", args.t_grid, _T_GRID_FORM)
+    traj = solve_frozen(args.system, x0, grid, nu=args.nu)
     lines = ["t,particle,x"]
     for i, t in enumerate(traj.times):
         for p, x in enumerate(traj.states[i]):
             lines.append(f"{t:.12g},{p},{x:.17g}")
     _write_lines(args.out, lines)
-    print(f"frozen {args.system} n={args.n} steps={traj.n_accepted} -> {args.out}")
+    print(
+        f"frozen {args.system} n={args.n} steps={traj.n_accepted} "
+        f"rejected={traj.n_rejected} -> {args.out}"
+    )
     return 0
 
 
@@ -221,7 +234,7 @@ def _cmd_limit_law(args):
         zs = np.loadtxt(args.stieltjes, dtype=complex, ndmin=1)
         lines = ["z,G"] + [f"{z:.12g},{law.stieltjes(complex(z)):.12g}" for z in zs]
     else:
-        grid = _parse_grid(args.grid)
+        grid = _parse_grid("--grid", args.grid, _X_GRID_FORM)
         inv = law.spectral_density(grid)
         print(
             f"inversion: {int(inv.diverged.sum())} of {grid.size} points flagged, "
@@ -271,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--n", type=int, required=True)
     f.add_argument("--nu", type=float, default=None)
     f.add_argument("--start", default="zero", help=_START_HELP)
-    f.add_argument("--t-grid", required=True, help="T0:T1:STEPS")
+    f.add_argument("--t-grid", required=True, help=_T_GRID_FORM)
     f.add_argument("--out", required=True)
     f.set_defaults(func=_cmd_frozen)
 
@@ -307,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     ll.add_argument("--mu", default="zero", help=_MU_HELP)
     ll.add_argument("--nu0", type=float, default=0.0)
     ll.add_argument("--t", type=float, required=True)
-    ll.add_argument("--grid", default="-4:4:401", help="A:B:K abscissa grid")
+    ll.add_argument("--grid", default="-4:4:401", help=f"{_X_GRID_FORM} abscissa grid")
     ll.add_argument("--stieltjes", default=None, help="CSV of complex z values to dump G at")
     ll.add_argument("--out", required=True)
     ll.set_defaults(func=_cmd_limit_law)

@@ -4,8 +4,11 @@ Type A particles obey dx_i/dt = sum_{j != i} 1/(x_i - x_j); type B
 particles obey dx_i/dt = sum_{j != i} 2 x_i/(x_i^2 - x_j^2) + nu/x_i.
 Both drifts are singular on the chamber walls, so the integrator is an
 embedded Dormand-Prince pair with the step additionally capped by the
-squared hyperplane gap.  Boundary or coincident starts are bootstrapped
-with the exact self-similar zero profiles over a short initial interval.
+squared hyperplane gap.  It steps on its own controller to the last output
+time and fills the output times between step ends from the pair's
+continuous extension, so the output grid does not set the cost.  Boundary
+or coincident starts are bootstrapped with the exact self-similar zero
+profiles over a short initial interval.
 
 The mean-reverting variant (extra -lambda*x drift) is obtained from the
 plain type A flow by an exact space-time transformation rather than a
@@ -98,7 +101,10 @@ def drift_b(x, nu: float) -> np.ndarray:
     return out
 
 
-# Dormand-Prince 5(4) tableau.
+# Dormand-Prince 5(4) tableau.  The last row of _DP_A is the 5th-order
+# solution, so the 7th stage is evaluated at x5 and its slope opens the next
+# step (FSAL: six right-hand sides per attempted step).  _DP_E weighs the
+# stages into the error estimate x5 - x4.
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -108,18 +114,28 @@ _DP_A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+# 4th-order continuous extension (Shampine, Math. Comp. 46, 1986): the state
+# at t + theta*h is x + h * (_DP_DENSE @ theta**[1, 2, 3, 4]) @ k.
+_DP_DENSE = np.array(
+    [
+        [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+        [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+        [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+        [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+        [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+    ]
 )
+_POWERS = np.arange(1, 5)
 
 
 def _order_ok(x, chamber):
-    if np.any(np.diff(x) > 0):
+    """Whether ``x`` is finite, descending and, in chamber B, nonnegative."""
+    if not np.all(np.isfinite(x)) or np.any(np.diff(x) > 0):
         return False
-    if chamber == CHAMBER_B and x[-1] < 0:
-        return False
-    return True
+    return not (chamber == CHAMBER_B and x[-1] < 0)
 
 
 def _bootstrap_start(x0: np.ndarray, chamber: str, nu: float, delta: float):
@@ -170,8 +186,11 @@ def solve_frozen(
 
     ``x0`` may lie on the chamber boundary (including the origin); such
     starts are bootstrapped by the exact zero-profile split up to
-    ``_BOOT_DELTA`` and integrated onward.  Output states land exactly on
-    ``t_grid``.
+    ``_BOOT_DELTA`` and integrated onward.  The steps depend on ``t_grid``
+    only through its last entry: the entries inside an accepted step come
+    from the continuous extension, an entry at its end (and the last one)
+    takes the 5th-order state, and an entry outside the open chamber
+    rejects the step as a failing stage does.
     """
     if system not in ("a", "b"):
         raise ValueError("system must be 'a' or 'b'")
@@ -212,58 +231,63 @@ def solve_frozen(
         else:
             states[out_idx] = x_init
         out_idx += 1
-    if out_idx == t_grid.size:
-        traj.min_gap = _gaps(x, wall)[1]
-        return traj
 
+    t_end = float(t_grid[-1])
     gap = _gaps(x, wall)[1]
     traj.min_gap = gap
-    dt = min(1e-3 * (1.0 + t_grid[-1] - t), _GAP_SAFETY * gap * gap)
-    n_steps = 0
+    dt = min(1e-3 * (1.0 + t_end - t), _GAP_SAFETY * gap * gap)
+    grow = 5.0
     k = np.empty((7, x.size))
-    while out_idx < t_grid.size:
-        t_target = float(t_grid[out_idx])
-        while t_target - t > 1e-12 * max(1.0, t_grid[-1] if t_grid[-1] > 0 else 1.0):
-            if n_steps > _MAX_STEPS:
-                raise IntegrationError("step budget exhausted", t, dt)
+    k[0] = rhs(x)
+    while t_end - t > 1e-12 * max(1.0, t_end):
+        if traj.n_accepted + traj.n_rejected > _MAX_STEPS:
+            raise IntegrationError("step budget exhausted", t, dt)
+        h = min(dt, t_end - t, _GAP_SAFETY * gap * gap)
+        if h <= 0.0 or t + h == t:
+            raise IntegrationError("step size underflow", t, h)
+        t_new = t_end if h == t_end - t else t + h
+        # err stays inf when a stage, x5 (the last stage) or a node fails.
+        err = math.inf
+        try:
+            for s in range(1, 7):
+                ys = x + h * (_DP_A[s] @ k[:s])
+                if not _order_ok(ys, chamber):
+                    break
+                k[s] = rhs(ys)
+            else:
+                scale = _ATOL + _RTOL * np.maximum(np.abs(x), np.abs(ys))
+                err = math.sqrt(float(np.mean((h * (_DP_E @ k) / scale) ** 2)))
+        except SingularConfigurationError:
+            pass
+        if err <= 1.0:
+            # Nodes inside (t, t_new) from the continuous extension, one at
+            # a time so that a node's value does not depend on its
+            # neighbours; nodes at t_new take x5 itself.
+            past_new = int(np.searchsorted(t_grid, t_new, side="right"))
+            nodes = t_grid[out_idx:past_new]
+            theta = (nodes[nodes < t_new] - t) / h
+            dense = [x + h * ((_DP_DENSE @ th**_POWERS) @ k) for th in theta]
+            if not all(_order_ok(y, chamber) for y in dense):
+                err = math.inf
+        if err <= 1.0:
+            for i, y in enumerate(dense, out_idx):
+                states[i] = y
+            states[out_idx + len(dense) : past_new] = ys
+            out_idx = past_new
+            t, x = t_new, ys
+            k[0] = k[6]
             gap = _gaps(x, wall)[1]
             traj.min_gap = min(traj.min_gap, gap)
-            h = min(dt, t_target - t, _GAP_SAFETY * gap * gap)
-            if h <= 0.0 or t + h == t:
-                raise IntegrationError("step size underflow", t, h)
-            ok = True
-            try:
-                k[0] = rhs(x)
-                for s in range(1, 7):
-                    ys = x + h * (_DP_A[s] @ k[:s])
-                    if not np.all(np.isfinite(ys)) or not _order_ok(ys, chamber):
-                        ok = False
-                        break
-                    k[s] = rhs(ys)
-            except SingularConfigurationError:
-                ok = False
-            if ok:
-                x5 = x + h * (_DP_B5 @ k)
-                x4 = x + h * (_DP_B4 @ k)
-                ok = bool(np.all(np.isfinite(x5))) and _order_ok(x5, chamber)
-            n_steps += 1
-            if not ok:
-                dt = h * 0.5
-                traj.n_rejected += 1
-                continue
-            scale = _ATOL + _RTOL * np.maximum(np.abs(x), np.abs(x5))
-            err = math.sqrt(float(np.mean(((x5 - x4) / scale) ** 2)))
-            if err <= 1.0:
-                t += h
-                x = x5
-                traj.n_accepted += 1
-            else:
-                traj.n_rejected += 1
-            factor = 0.9 * max(err, 1e-10) ** (-0.2)
-            dt = h * min(5.0, max(0.2, factor))
-        states[out_idx] = x
-        out_idx += 1
-    traj.min_gap = min(traj.min_gap, _gaps(x, wall)[1])
+            traj.n_accepted += 1
+            dt = h * min(grow, max(0.2, 0.9 * max(err, 1e-10) ** -0.2))
+            grow = 5.0
+        else:
+            # Never grow the step right after a rejection.
+            traj.n_rejected += 1
+            dt = h * (0.5 if err == math.inf else max(0.2, 0.9 * err**-0.2))
+            grow = 1.0
+    # Nodes within rounding of the end take the last state.
+    states[out_idx:] = x
     return traj
 
 

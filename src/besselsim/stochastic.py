@@ -577,6 +577,9 @@ def simulate_dunkl_b(
     memoised on the exact bytes of the sorted magnitudes and the envelope
     time grid, plus nu, and its RK step counts are reported as
     ``rk_accepted`` and ``rk_rejected`` on hits and misses alike.  The
+    solve steps on its own controller to T and fills the fine grid from
+    the Dormand-Prince continuous extension, so the grid's nodes cost no
+    steps.  The
     jumps are sampled exactly for the linearly interpolated envelope, by
     thinning in slot space (``_slot_jump_path``); ``diagnostics`` count the
     ``proposals`` and the accepted ``flips`` and ``sign_swaps``.

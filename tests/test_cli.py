@@ -19,7 +19,7 @@ def test_zeros_subcommand(tmp_path):
     assert np.allclose(np.loadtxt(out2, skiprows=1), laguerre_zeros(4, 2.0).zeros)
 
 
-def test_frozen_subcommand(tmp_path):
+def test_frozen_subcommand(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     rc = main(
         [
@@ -37,6 +37,7 @@ def test_frozen_subcommand(tmp_path):
         ]
     )
     assert rc == 0
+    assert re.match(r"frozen a n=3 steps=\d+ rejected=\d+ -> ", capsys.readouterr().out)
     rows = np.loadtxt(out, delimiter=",", skiprows=1)
     final = rows[rows[:, 0] == 0.5][:, 2]
     assert np.abs(np.sort(final) - np.sort(hermite_zeros(3).zeros)).max() < 1e-8
@@ -431,6 +432,11 @@ def test_limit_moments_csv_start_shorter_than_the_order_fails(tmp_path, system, 
         (
             ["simulate", "--system", "bessel-a", "--k", "1", "--n", "3", "--t", "-1", "--dt", "0.1"],
             "simulate: need T >= 0 and dt > 0, got T = -1, dt = 0.1$",
+        ),
+        (["frozen", "--system", "a", "--n", "3", "--t-grid", "abc"], "frozen: --t-grid abc: expected T0:T1:COUNT$"),
+        (
+            ["limit-law", "--kind", "a", "--t", "0.5", "--grid=-1:1"],
+            "limit-law: --grid -1:1: expected X0:X1:COUNT$",
         ),
     ],
 )

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import besselsim.frozen as frozen
 from besselsim.chambers import SingularConfigurationError
 from besselsim.frozen import drift_a, drift_b, ou_transform_frozen, solve_frozen
-from besselsim.zeros import hermite_zeros, laguerre_zeros
+from besselsim.harness import SCALE_SQRT_N, starting_profile
+from besselsim.zeros import hermite_zeros, laguerre_zeros, profile_solution_b
 
 
 def power_moment(states, l):
@@ -164,3 +166,68 @@ def test_output_grid_alignment():
     traj = solve_frozen("a", np.linspace(2, -2, 4), ts)
     assert np.array_equal(traj.times, ts)
     assert traj.states.shape == (4, 4)
+
+
+# The frozen Dunkl envelope of a quartercircle start at N = 150, T = 0.5,
+# dt = 0.01: 51 record times and 257 fine nodes, 305 distinct.
+ENV_T = 0.5
+ENV_GRID = np.union1d(np.linspace(0.0, ENV_T, 51), np.linspace(0.0, ENV_T, 257))
+
+
+def _envelope_start():
+    x0 = starting_profile("quartercircle", 150, SCALE_SQRT_N, "B").coords
+    return np.sort(np.abs(x0))[::-1]
+
+
+@pytest.mark.parametrize("nu", [0.0, 150.0])
+def test_steps_do_not_depend_on_the_output_grid(nu):
+    mags = _envelope_start()
+    assert ENV_GRID.size == 305
+    dense = solve_frozen("b", mags, ENV_GRID, nu=nu)
+    end = solve_frozen("b", mags, [0.0, ENV_T], nu=nu)
+    assert (dense.n_accepted, dense.n_rejected) == (end.n_accepted, end.n_rejected)
+    assert dense.n_accepted < 200
+    assert np.array_equal(dense.states[-1], end.states[-1])
+    assert dense.min_gap == end.min_gap
+
+
+@pytest.mark.parametrize("nu", [0.0, 150.0])
+def test_dense_nodes_match_a_solve_to_that_node(nu):
+    mags = _envelope_start()
+    traj = solve_frozen("b", mags, ENV_GRID, nu=nu)
+    assert all(np.all(np.diff(s) < 0) and s[-1] > 0 for s in traj.states)
+    for i in range(3, ENV_GRID.size, 31):
+        ref = solve_frozen("b", mags, [0.0, ENV_GRID[i]], nu=nu).states[-1]
+        assert np.all(np.abs(traj.states[i] - ref) <= 1e-9 * (1.0 + np.abs(ref)))
+
+
+def test_repeated_and_late_grid_entries():
+    x0 = np.array([3.0, 1.0, 0.4])
+    base = solve_frozen("b", x0, [0.0, 0.2, 0.5], nu=1.0)
+    repeated = solve_frozen("b", x0, [0.0, 0.2, 0.2, 0.5, 0.5], nu=1.0)
+    assert np.array_equal(repeated.states, base.states[[0, 1, 1, 2, 2]])
+    late = solve_frozen("b", x0, [0.2, 0.5], nu=1.0)
+    assert np.array_equal(late.states, base.states[1:])
+    assert (late.n_accepted, late.n_rejected) == (base.n_accepted, base.n_rejected)
+
+
+def test_grid_ending_inside_the_bootstrap_horizon():
+    ts = [0.0, 0.25 * frozen._BOOT_DELTA, frozen._BOOT_DELTA]
+    traj = solve_frozen("b", np.zeros(4), ts, nu=2.0)
+    assert traj.n_accepted == traj.n_rejected == 0
+    assert np.array_equal(traj.states[0], np.zeros(4))
+    for i, t in enumerate(ts[1:], 1):
+        assert np.allclose(traj.states[i], profile_solution_b(4, 2.0, 0.0, t).coords, rtol=1e-12, atol=0)
+
+
+def test_right_hand_sides_per_step(monkeypatch):
+    calls = []
+
+    def counting(x, nu):
+        calls.append(1)
+        return drift_b(x, nu)
+
+    monkeypatch.setattr(frozen, "drift_b", counting)
+    traj = solve_frozen("b", _envelope_start(), ENV_GRID, nu=0.0)
+    assert traj.n_rejected > 0
+    assert len(calls) <= 6 * (traj.n_accepted + traj.n_rejected) + 1
