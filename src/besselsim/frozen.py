@@ -165,10 +165,8 @@ def _bootstrap_start(x0: np.ndarray, chamber: str, nu: float, delta: float):
             continue
         touched = True
         if at_zero:
-            # nu = 0 keeps no wall repulsion; split by the vanishing-nu
-            # Laguerre pattern, which is strictly interior for t > 0.
-            nu_loc = nu if nu > 0 else m * 1e-6
-            x[lo:hi] = profile_solution_b(m, nu_loc, 0.0, delta).coords
+            # at nu = 0 the pattern keeps one coordinate at 0, where its drift is 0
+            x[lo:hi] = profile_solution_b(m, nu, 0.0, delta).coords
         else:
             x[lo:hi] = x[lo] + profile_solution_a(m, 0.0, delta).coords
     if touched and not _order_ok(x, chamber):

@@ -29,11 +29,10 @@ from . import __version__
 from .chambers import CHAMBER_A, CHAMBER_B, ChamberPoint, project_to_chamber
 from .freeprob import (
     LimitLaw,
-    SpectralDensity,
     atom_law,
     beta_law,
+    dunkl_limit_law,
     limit_law_a,
-    quartercircle_dunkl_density,
     quartercircle_law,
     semicircle,
 )
@@ -44,7 +43,13 @@ from .moments import (
     limit_moments_b,
     limit_moments_dunkl,
 )
-from .stochastic import RngStream, simulate_bessel_a, simulate_bessel_b, simulate_dunkl_b
+from .stochastic import (
+    RngStream,
+    simulate_bessel_a,
+    simulate_bessel_b,
+    simulate_bessel_ou,
+    simulate_dunkl_b,
+)
 from .frozen import ou_transform_frozen, solve_frozen
 from .zeros import hermite_zeros, laguerre_zeros, profile_solution_a
 
@@ -350,10 +355,8 @@ def _run_dunkl_quartercircle(cfg):
 
         pool = np.concatenate([one_atoms(r) for r in range(cfg["ks_replicas"])])
         edge = 2.0 * math.sqrt(2.0 * t + 1.0)
-        grid = np.linspace(-edge, edge, 2001)
-        dens = quartercircle_dunkl_density(t, grid)
-        sd = SpectralDensity(grid, dens, 0.0, np.zeros(grid.size, bool), [])
-        d = ks_distance(EmpiricalMeasure(pool), sd)
+        law = dunkl_limit_law(quartercircle_law(), 0.0, t)
+        d = ks_distance(EmpiricalMeasure(pool), law.spectral_density(np.linspace(-edge, edge, 2001)))
         rows.append(_row("dunkl-frozen", n, t, "pooled-ks", d, cfg["ks_threshold"]))
     return rows
 
@@ -366,8 +369,6 @@ def _run_ou_interchange(cfg):
     mu = EmpiricalMeasure.from_point(pt)
     d = ks_distance(mu, semicircle(math.sqrt(2.0 / lam)))
     rows.append(_row("ou-interchange", n, t, "ks", d, cfg["ks_threshold"]))
-
-    from .stochastic import simulate_bessel_ou
 
     n_s, t_s, L = cfg["sde_n"], cfg["sde_t"], cfg["order"]
     x0s = starting_profile(cfg["start"], n_s, SCALE_SQRT_N, CHAMBER_A)
@@ -500,23 +501,20 @@ def run_experiment(config: dict, out_dir=None) -> ExperimentReport:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     defaults, runner = PRESETS[name]
-    unknown = sorted(set(config) - set(defaults) - {"preset", "seed"})
+    unknown = sorted(set(config) - set(defaults) - {"preset"})
     if unknown:
         raise ValueError(
             f"unknown config keys for preset {name!r}: {', '.join(map(repr, unknown))}; "
-            f"allowed: {', '.join(sorted(defaults))}, seed"
+            f"allowed: {', '.join(sorted(defaults))}"
         )
     cfg = dict(defaults)
     cfg.update({k: v for k, v in config.items() if k != "preset"})
-    cfg.setdefault("seed", 12345)
     rows = runner(cfg)
     passed = all(r["passed"] for r in rows)
     blob = json.dumps({"preset": name, **cfg}, sort_keys=True, default=str).encode()
-    manifest = {
-        "seed": cfg.get("seed"),
-        "config_hash": hashlib.sha256(blob).hexdigest(),
-        "version": __version__,
-    }
+    # only the stochastic presets draw random numbers, so only they carry a seed
+    manifest = {"seed": cfg["seed"]} if "seed" in cfg else {}
+    manifest |= {"config_hash": hashlib.sha256(blob).hexdigest(), "version": __version__}
     report = ExperimentReport({"preset": name, **cfg}, rows, passed, manifest)
     if out_dir is not None:
         write_report(report, out_dir)

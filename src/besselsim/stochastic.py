@@ -311,28 +311,26 @@ def simulate_bessel_ou(
     ``mode="direct"`` runs Euler-Maruyama on the drifted SDE;
     ``mode="transform"`` simulates the lam = 0 process and applies the exact
     space-time transform X_ou(t) = exp(-lam t) X((exp(2 lam t) - 1)/(2 lam)).
-    With lam = 0 both modes reproduce simulate_bessel_a exactly.
+    At k = inf either mode is that transform of one frozen solve over the
+    warped grid.  With lam = 0 both modes are simulate_bessel_a.
     """
     k = float(k)
     _check_a(k)
     if mode not in ("direct", "transform"):
         raise ValueError("mode must be 'direct' or 'transform'")
+    if lam == 0.0:
+        return simulate_bessel_a(x0, k, T, dt, stream)
+    grid = _record_grid(T, dt)
+    warped = np.expm1(2.0 * lam * grid) / (2.0 * lam)
     if math.isinf(k):
-        grid = _record_grid(T, dt)
-        from .frozen import ou_transform_frozen
-
-        point = x0 if isinstance(x0, ChamberPoint) else project_to_chamber(x0, CHAMBER_A)
-        states = np.empty((grid.size, point.n))
-        for i, t in enumerate(grid):
-            states[i] = ou_transform_frozen(point, lam, float(t)).coords
+        traj = solve_frozen("a", x0, warped)
+        states = np.exp(-lam * grid)[:, None] * traj.states
         return PathSample(
             CHAMBER_A, grid, states, stream.seed, stream.replica, diagnostics={"frozen": True}
         )
-    if mode == "direct" or lam == 0.0:
+    if mode == "direct":
         return _em_sample(x0, lambda y: drift_a(y) - lam * y, CHAMBER_A, T, dt, stream, k)
     # transform mode: record the lam = 0 path on the warped grid.
-    grid = _record_grid(T, dt)
-    warped = np.expm1(2.0 * lam * grid) / (2.0 * lam)
     x_start = _em_start(x0, CHAMBER_A, 0.0, dt)
     rng = stream.generator()
     states = np.empty((grid.size, x_start.size))

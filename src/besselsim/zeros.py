@@ -3,7 +3,9 @@
 The zeros are the eigenvalues of the symmetric tridiagonal Jacobi matrix
 of each family (Golub & Welsch, Math. Comp. 1969): for H_N the diagonal
 is 0 and the off-diagonal sqrt(j/2); for L_N^(nu-1) the diagonal is
-2j + nu and the off-diagonal sqrt(j (j + nu - 1)).
+2j + nu and the off-diagonal sqrt(j (j + nu - 1)).  At nu = 0 the first
+off-diagonal entry vanishes and the matrix splits into 0 and the matrix
+of L_{N-1}^(1), as L_N^(-1)(x) = -(x/N) L_{N-1}^(1)(x) (Szego).
 
 The ordered zeros z_1 > ... > z_N of H_N are also the unique ordered
 solution of the electrostatic system
@@ -71,11 +73,11 @@ def hermite_zeros(n: int) -> ZeroProfile:
 
 
 def laguerre_zeros(n: int, nu: float) -> ZeroProfile:
-    """Ordered zeros of L_N^(nu-1): eigenvalues of its Jacobi matrix."""
+    """Ordered zeros of L_N^(nu-1): eigenvalues of its Jacobi matrix (at nu = 0 the last is 0)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    if nu < 0:
+        raise ValueError("nu must be nonnegative")
     j = np.arange(n, dtype=float)
     off = np.sqrt(j[1:] * (j[1:] + nu - 1.0))
     z = eigvalsh_tridiagonal(2.0 * j + nu, off)[::-1]

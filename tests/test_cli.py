@@ -427,7 +427,7 @@ def test_limit_moments_csv_start_shorter_than_the_order_fails(tmp_path, system, 
             ["frozen", "--system", "b", "--nu", "1", "--n", "3", "--start", "profile:-1", "--t-grid", "0:1:3"],
             "frozen: --start profile:-1: c and t must be nonnegative",
         ),
-        (["zeros", "--family", "laguerre", "--n", "3", "--nu", "0"], "zeros: nu must be positive"),
+        (["zeros", "--family", "laguerre", "--n", "3", "--nu", "-1"], "zeros: nu must be nonnegative"),
         (["validate", "--config", "{missing}"], "validate: .*No such file or directory"),
         (
             ["simulate", "--system", "bessel-a", "--k", "1", "--n", "3", "--t", "-1", "--dt", "0.1"],
@@ -464,6 +464,19 @@ def test_frozen_profile_start_is_the_exact_zero_profile(tmp_path, system, c):
     for t in np.linspace(0.0, 1.0, 5):
         profile = profile_solution_a(n, float(c), t) if system == "a" else profile_solution_b(n, nu, float(c), t)
         assert np.abs(rows[rows[:, 0] == t, 2] - profile.coords).max() < 1e-8
+
+
+def test_frozen_profile_start_at_nu_zero_keeps_one_particle_at_zero(tmp_path):
+    from besselsim.zeros import profile_solution_b
+
+    out = tmp_path / "p.csv"
+    argv = ["frozen", "--system", "b", "--nu", "0", "--n", "5", "--start", "profile:1", "--t-grid", "0:1:3"]
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    for t in (0.0, 0.5, 1.0):
+        got = rows[rows[:, 0] == t, 2]
+        assert got[-1] == 0.0
+        assert np.abs(got - profile_solution_b(5, 0.0, 1.0, t).coords).max() < 1e-8
 
 
 def test_file_start_round_trips_through_frozen_and_simulate(tmp_path):

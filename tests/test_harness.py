@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,7 +153,7 @@ def test_unknown_preset_rejected():
 
 @pytest.mark.parametrize(
     "extra",
-    [{"n_lst": [6]}, {"threads": 2}, {"n_lst": [6], "threads": 2, "t_list": [0.5]}],
+    [{"n_lst": [6]}, {"threads": 2}, {"n_lst": [6], "threads": 2, "t_list": [0.5]}, {"seed": 1}],
 )
 def test_unknown_config_keys_rejected(extra):
     with pytest.raises(ValueError) as err:
@@ -160,6 +161,14 @@ def test_unknown_config_keys_rejected(extra):
     for key in set(extra) - {"t_list"}:
         assert repr(key) in str(err.value)
     assert "'t_list'" not in str(err.value).split(";")[0]
+
+
+def test_readme_validate_example_runs():
+    # the JSON block after "A `validate` config is JSON" in the README
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A `validate` config is JSON", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    report = run_experiment(json.loads(block))
+    assert report.passed and report.rows
 
 
 def test_write_report_roundtrip(tmp_path):

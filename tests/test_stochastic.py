@@ -16,7 +16,7 @@ from besselsim.chambers import (
     apply_reflection,
     project_to_chamber,
 )
-from besselsim.frozen import IntegrationError, drift_a, drift_b, solve_frozen
+from besselsim.frozen import IntegrationError, drift_a, drift_b, ou_transform_frozen, solve_frozen
 from besselsim.stochastic import (
     RngStream,
     simulate_bessel_a,
@@ -166,6 +166,15 @@ def test_ou_frozen_long_time_profile():
     lam = 1.0
     p = simulate_bessel_ou(np.linspace(4, -4, 6), math.inf, lam, 20.0, 10.0, RngStream(0, 0))
     assert np.abs(p.states[-1] - math.sqrt(1 / lam) * hermite_zeros(6).zeros).max() < 1e-6
+
+
+@pytest.mark.parametrize("lam,T,dt", [(-0.5, 3.0, 0.1), (0.7, 2.0, 0.05), (1.0, 20.0, 2.0), (2.0, 4.0, 0.2)])
+def test_ou_frozen_path_is_the_transform_at_every_record_time(lam, T, dt):
+    x0 = np.linspace(3, -2, 8)
+    p = simulate_bessel_ou(x0, math.inf, lam, T, dt, RngStream(0, 0))
+    for t, state in zip(p.times, p.states):
+        expect = ou_transform_frozen(x0, lam, float(t)).coords
+        assert np.abs(state - expect).max() <= 1e-8 * np.abs(expect).max()
 
 
 def test_dunkl_jump_rates_examples():

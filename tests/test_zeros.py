@@ -129,10 +129,16 @@ def test_laguerre_product_identity_small_nu(n, nu):
 def test_invalid_parameters():
     with pytest.raises(ValueError):
         hermite_zeros(0)
-    with pytest.raises(ValueError):
-        laguerre_zeros(3, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nu must be nonnegative"):
         laguerre_zeros(3, -1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 150])
+def test_laguerre_nu_zero_is_zero_then_the_nu_two_zeros(n):
+    # L_N^(-1)(x) = -(x/N) L_{N-1}^(1)(x): the Jacobi matrix splits at its first off-diagonal
+    prof = laguerre_zeros(n, 0.0)
+    assert np.array_equal(prof.zeros, np.append(laguerre_zeros(n - 1, 2.0).zeros, 0.0))
+    assert prof.residual < 1e-9
 
 
 def test_profile_solution_a_values():
@@ -164,7 +170,7 @@ def test_profile_a_satisfies_ode(n, c):
     assert np.abs(drift_a(x) - fd).max() < 1e-6
 
 
-@pytest.mark.parametrize("n,nu,c", [(3, 1.0, 0.0), (5, 2.0, 1.0)])
+@pytest.mark.parametrize("n,nu,c", [(3, 1.0, 0.0), (5, 2.0, 1.0), (4, 0.0, 1.0)])
 def test_profile_b_satisfies_ode(n, nu, c):
     t, h = 0.8, 1e-5
     x = profile_solution_b(n, nu, c, t).coords
