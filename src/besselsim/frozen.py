@@ -206,8 +206,8 @@ def solve_frozen(
     x_init = point0.coords.copy()
 
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if t_grid.size == 0 or np.any(np.diff(t_grid) < 0) or t_grid[0] < 0:
-        raise ValueError("t_grid must be nonnegative and nondecreasing")
+    if t_grid.size == 0 or not np.isfinite(t_grid).all() or np.any(np.diff(t_grid) < 0) or t_grid[0] < 0:
+        raise ValueError("t_grid must be nonnegative, nondecreasing and finite")
 
     rhs = (lambda y: drift_a(y)) if system == "a" else (lambda y: drift_b(y, nu_val))
 

@@ -127,8 +127,7 @@ def _tamed_increment(drift_vec, h, cap):
     distort the drift at large N); it engages only on explosion-scale
     outliers that the exact local flows did not cover.
     """
-    disp = h * drift_vec
-    return np.clip(disp, -cap, cap)
+    return np.clip(h * drift_vec, -cap, cap)
 
 
 def _em_path(x0, drift, coupling, chamber, T, dt, rng, nu=0.0):
@@ -311,8 +310,9 @@ def simulate_bessel_ou(
     ``mode="direct"`` runs Euler-Maruyama on the drifted SDE;
     ``mode="transform"`` simulates the lam = 0 process and applies the exact
     space-time transform X_ou(t) = exp(-lam t) X((exp(2 lam t) - 1)/(2 lam)).
-    At k = inf either mode is that transform of one frozen solve over the
-    warped grid.  With lam = 0 both modes are simulate_bessel_a.
+    At k = inf either mode is that transform of frozen solves, restarted
+    (the flow is Markov) at every multiple of 2/|lam| so that each solve
+    ends by (e^4 - 1)/(2 |lam|).  With lam = 0 both modes are simulate_bessel_a.
     """
     k = float(k)
     _check_a(k)
@@ -321,20 +321,28 @@ def simulate_bessel_ou(
     if lam == 0.0:
         return simulate_bessel_a(x0, k, T, dt, stream)
     grid = _record_grid(T, dt)
-    warped = np.expm1(2.0 * lam * grid) / (2.0 * lam)
     if math.isinf(k):
-        traj = solve_frozen("a", x0, warped)
-        states = np.exp(-lam * grid)[:, None] * traj.states
+        if -lam * T > 700.0:
+            raise ValueError(f"frozen OU states overflow at lam = {lam:g}, T = {T:g}")
+        cuts = np.arange(2.0, abs(lam) * T, 2.0) / abs(lam)
+        nodes = np.union1d(grid, cuts)
+        rows, x, a = [], x0, 0
+        for b in [*nodes.searchsorted(cuts), nodes.size - 1]:
+            span = nodes[a : b + 1] - nodes[a]
+            traj = solve_frozen("a", x, np.expm1(2.0 * lam * span) / (2.0 * lam))
+            rows.append((np.exp(-lam * span)[:, None] * traj.states)[bool(rows) :])
+            x, a = rows[-1][-1], b
+        states = np.vstack(rows)[nodes.searchsorted(grid)]
         return PathSample(
             CHAMBER_A, grid, states, stream.seed, stream.replica, diagnostics={"frozen": True}
         )
     if mode == "direct":
         return _em_sample(x0, lambda y: drift_a(y) - lam * y, CHAMBER_A, T, dt, stream, k)
     # transform mode: record the lam = 0 path on the warped grid.
-    x_start = _em_start(x0, CHAMBER_A, 0.0, dt)
+    warped = np.expm1(2.0 * lam * grid) / (2.0 * lam)
+    x = _em_start(x0, CHAMBER_A, 0.0, dt)
     rng = stream.generator()
-    states = np.empty((grid.size, x_start.size))
-    x = x_start.copy()
+    states = np.empty((grid.size, x.size))
     states[0] = x
     diag_all = {"max_violation": 0.0, "min_gap": np.inf} | dict.fromkeys(_EM_COUNTERS, 0)
     for i in range(1, grid.size):
@@ -490,7 +498,7 @@ def _slot_jump_path(rho, grid, times, labels, sigma, nu, rng):
     rec = np.searchsorted(grid, times)
     grid = grid.tolist()
     states = np.empty((times.size, labels.size))
-    states[0, labels] = sigma * rho[rec[0]]
+    states[0, labels] = sigma * rho[rec[0]] + 0.0  # a zero magnitude is 0, not -0
     jump_log = []
     counts = dict.fromkeys(_JUMP_COUNTERS, 0)
     bufs = np.empty((3, labels.size, labels.size))
@@ -541,7 +549,7 @@ def _slot_jump_path(rho, grid, times, labels, sigma, nu, rng):
             _slot_move(sigma, labels, a, b)
             for c in (a,) if b is None else (a, b):
                 _refresh_bounds(w, row, sigma, over_sum, over_diff, c)
-        states[idx, labels] = sigma * rho[j1]
+        states[idx, labels] = sigma * rho[j1] + 0.0
     return states, jump_log, counts
 
 
@@ -577,8 +585,7 @@ def simulate_dunkl_b(
     ``rk_accepted`` and ``rk_rejected`` on hits and misses alike.  The
     solve steps on its own controller to T and fills the fine grid from
     the Dormand-Prince continuous extension, so the grid's nodes cost no
-    steps.  The
-    jumps are sampled exactly for the linearly interpolated envelope, by
+    steps.  The jumps are sampled exactly for the linearly interpolated envelope, by
     thinning in slot space (``_slot_jump_path``); ``diagnostics`` count the
     ``proposals`` and the accepted ``flips`` and ``sign_swaps``.
     A reflection within the exclusion threshold of its hyperplane anywhere
@@ -662,11 +669,5 @@ def simulate_dunkl_b(
             t += h
         states[idx] = x
     return PathSample(
-        FULL_SPACE,
-        times,
-        states,
-        stream.seed,
-        stream.replica,
-        jump_log=jump_log,
-        diagnostics={"min_gap": min_gap, **count},
+        FULL_SPACE, times, states, stream.seed, stream.replica, jump_log, {"min_gap": min_gap, **count}
     )

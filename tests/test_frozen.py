@@ -211,6 +211,12 @@ def test_repeated_and_late_grid_entries():
     assert (late.n_accepted, late.n_rejected) == (base.n_accepted, base.n_rejected)
 
 
+@pytest.mark.parametrize("grid", [[0.0, math.inf], [0.0, math.nan, 1.0], [-1.0, 0.0]])
+def test_grid_must_be_finite_nonnegative_and_nondecreasing(grid):
+    with pytest.raises(ValueError, match="t_grid must be nonnegative, nondecreasing and finite"):
+        solve_frozen("a", np.array([1.0, 0.0]), grid)
+
+
 def test_grid_ending_inside_the_bootstrap_horizon():
     ts = [0.0, 0.25 * frozen._BOOT_DELTA, frozen._BOOT_DELTA]
     traj = solve_frozen("b", np.zeros(4), ts, nu=2.0)

@@ -168,13 +168,27 @@ def test_ou_frozen_long_time_profile():
     assert np.abs(p.states[-1] - math.sqrt(1 / lam) * hermite_zeros(6).zeros).max() < 1e-6
 
 
-@pytest.mark.parametrize("lam,T,dt", [(-0.5, 3.0, 0.1), (0.7, 2.0, 0.05), (1.0, 20.0, 2.0), (2.0, 4.0, 0.2)])
+@pytest.mark.parametrize(
+    "lam,T,dt",
+    [(-0.5, 3.0, 0.1), (0.7, 2.0, 0.05), (1.0, 20.0, 2.0), (2.0, 4.0, 0.2)]
+    # restarts every 2/|lam|, at record times and off them
+    + [(-0.5, 30.0, 3.0), (3.0, 10.0, 0.7)],
+)
 def test_ou_frozen_path_is_the_transform_at_every_record_time(lam, T, dt):
     x0 = np.linspace(3, -2, 8)
     p = simulate_bessel_ou(x0, math.inf, lam, T, dt, RngStream(0, 0))
     for t, state in zip(p.times, p.states):
         expect = ou_transform_frozen(x0, lam, float(t)).coords
         assert np.abs(state - expect).max() <= 1e-8 * np.abs(expect).max()
+
+
+def test_ou_frozen_path_past_the_float64_range_of_exp_2_lam_t():
+    # 2 lam T = 800: one warped solve would have to reach exp(800)
+    lam, x0 = 10.0, np.linspace(3, -2, 5)
+    p = simulate_bessel_ou(x0, math.inf, lam, 40.0, 8.0, RngStream(0, 0))
+    assert np.abs(p.states[1:] - math.sqrt(1 / lam) * hermite_zeros(5).zeros).max() < 1e-9
+    with pytest.raises(ValueError, match="lam = -10, T = 80"):
+        simulate_bessel_ou(x0, math.inf, -10.0, 80.0, 1.0, RngStream(0, 0))
 
 
 def test_dunkl_jump_rates_examples():
@@ -570,9 +584,12 @@ def test_frozen_dunkl_zero_start_rejected_quickly():
     with pytest.raises(ValueError, match="infinite at t = 0"):
         simulate_dunkl_b(np.array([2.0, 0.0, -1.0]), 0.5, math.inf, 0.1, 0.02, RngStream(1, 0))
     assert time.perf_counter() - t0 < 1.0
-    # nu = 0 has no flip rate, so a zero start stays valid
-    p = simulate_dunkl_b(np.zeros(4), 0.0, math.inf, 0.1, 0.02, RngStream(1, 0))
-    assert np.all(np.isfinite(p.states))
+    # nu = 0 has no flip rate, so a zero start stays valid; its zero magnitude
+    # reads 0 whatever sign its slot has
+    for seed in range(8):
+        p = simulate_dunkl_b(np.zeros(4), 0.0, math.inf, 0.1, 0.02, RngStream(seed, 0))
+        assert np.all(np.isfinite(p.states)) and np.count_nonzero(p.states[1:] == 0) == p.times.size - 1
+        assert not np.signbit(p.states[p.states == 0]).any()
 
 
 def test_jump_rates_at_opposite_and_zero_coordinates_do_not_warn():
