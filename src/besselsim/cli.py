@@ -249,10 +249,7 @@ def _cmd_limit_law(args):
 def _cmd_validate(args):
     from .harness import run_experiment
 
-    config = json.loads(Path(args.config).read_text())
-    if args.replicas is not None:
-        config["replicas"] = args.replicas
-    report = run_experiment(config, out_dir=args.out)
+    report = run_experiment(json.loads(Path(args.config).read_text()), out_dir=args.out)
     for r in report.rows:
         print(
             f'[{"PASS" if r["passed"] else "FAIL"}] {r["name"]} n={r["n"]} t={r["t"]:g} {r["metric"]}: '
@@ -327,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate", help="run an experiment config")
     v.add_argument("--config", required=True)
-    v.add_argument("--replicas", type=int, default=None)
     v.add_argument("--out", default=None)
     v.set_defaults(func=_cmd_validate)
     return p

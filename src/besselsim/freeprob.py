@@ -56,7 +56,6 @@ __all__ = [
     "atom_law",
     "beta_law",
     "sqrt_law",
-    "square_pushforward",
     "limit_law_a",
     "limit_law_b",
     "dunkl_limit_law",
@@ -718,11 +717,6 @@ def sqrt_law(squared: LimitLaw, symmetrized: bool = False) -> LimitLaw:
     if symmetrized and isinstance(squared, MarchenkoPastur) and squared.c == 1.0:
         return Semicircle(2.0 * math.sqrt(squared.t))
     return SquareRoot(squared, symmetrized)
-
-
-def square_pushforward(law: LimitLaw) -> LimitLaw:
-    """Pushforward under x -> x^2."""
-    return law.squared()
 
 
 def _as_law(mu0) -> LimitLaw:

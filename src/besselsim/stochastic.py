@@ -309,52 +309,53 @@ def simulate_bessel_ou(
 
     ``mode="direct"`` runs Euler-Maruyama on the drifted SDE;
     ``mode="transform"`` simulates the lam = 0 process and applies the exact
-    space-time transform X_ou(t) = exp(-lam t) X((exp(2 lam t) - 1)/(2 lam)).
-    At k = inf either mode is that transform of frozen solves, restarted
-    (the flow is Markov) at every multiple of 2/|lam| so that each solve
-    ends by (e^4 - 1)/(2 |lam|).  With lam = 0 both modes are simulate_bessel_a.
+    space-time transform X_ou(t) = exp(-lam t) X((exp(2 lam t) - 1)/(2 lam)),
+    restarted (the process is Markov) at every multiple of 2/|lam| so that
+    each warped interval ends by (e^4 - 1)/(2 |lam|); its Euler-Maruyama
+    counters are summed over record intervals and restarts.  At k = inf
+    either mode is that transform of frozen solves.  With lam = 0 both modes
+    are simulate_bessel_a.  -lam * T > 700 overflows float64 and is refused.
     """
     k = float(k)
     _check_a(k)
     if mode not in ("direct", "transform"):
         raise ValueError("mode must be 'direct' or 'transform'")
+    if -lam * T > 700.0:
+        raise ValueError(f"OU states overflow at lam = {lam:g}, T = {T:g}")
     if lam == 0.0:
         return simulate_bessel_a(x0, k, T, dt, stream)
-    grid = _record_grid(T, dt)
     if math.isinf(k):
-        if -lam * T > 700.0:
-            raise ValueError(f"frozen OU states overflow at lam = {lam:g}, T = {T:g}")
-        cuts = np.arange(2.0, abs(lam) * T, 2.0) / abs(lam)
-        nodes = np.union1d(grid, cuts)
-        rows, x, a = [], x0, 0
-        for b in [*nodes.searchsorted(cuts), nodes.size - 1]:
-            span = nodes[a : b + 1] - nodes[a]
-            traj = solve_frozen("a", x, np.expm1(2.0 * lam * span) / (2.0 * lam))
-            rows.append((np.exp(-lam * span)[:, None] * traj.states)[bool(rows) :])
-            x, a = rows[-1][-1], b
-        states = np.vstack(rows)[nodes.searchsorted(grid)]
-        return PathSample(
-            CHAMBER_A, grid, states, stream.seed, stream.replica, diagnostics={"frozen": True}
-        )
-    if mode == "direct":
+        x, diag = x0, {"frozen": True}
+        flow = lambda x, warped: solve_frozen("a", x, warped).states
+    elif mode == "direct":
         return _em_sample(x0, lambda y: drift_a(y) - lam * y, CHAMBER_A, T, dt, stream, k)
-    # transform mode: record the lam = 0 path on the warped grid.
-    warped = np.expm1(2.0 * lam * grid) / (2.0 * lam)
-    x = _em_start(x0, CHAMBER_A, 0.0, dt)
-    rng = stream.generator()
-    states = np.empty((grid.size, x.size))
-    states[0] = x
-    diag_all = {"max_violation": 0.0, "min_gap": np.inf} | dict.fromkeys(_EM_COUNTERS, 0)
-    for i in range(1, grid.size):
-        span = warped[i] - warped[i - 1]
-        _, seg, diag = _em_path(x, drift_a, k, CHAMBER_A, span, span, rng)
-        x = seg[-1]
-        states[i] = math.exp(-lam * grid[i]) * x
-        diag_all["max_violation"] = max(diag_all["max_violation"], diag["max_violation"])
-        diag_all["min_gap"] = min(diag_all["min_gap"], diag["min_gap"])
-        for key in _EM_COUNTERS:
-            diag_all[key] += diag[key]
-    return PathSample(CHAMBER_A, grid, states, stream.seed, stream.replica, diagnostics=diag_all)
+    else:
+        x, rng = _em_start(x0, CHAMBER_A, 0.0, dt), stream.generator()
+        diag = {"max_violation": 0.0, "min_gap": np.inf} | dict.fromkeys(_EM_COUNTERS, 0)
+
+        def flow(x, warped):
+            seg = [x]
+            for w in np.diff(warped):
+                _, s, d = _em_path(seg[-1], drift_a, k, CHAMBER_A, w, w, rng)
+                seg.append(s[-1])
+                diag["max_violation"] = max(diag["max_violation"], d["max_violation"])
+                diag["min_gap"] = min(diag["min_gap"], d["min_gap"])
+                for key in _EM_COUNTERS:
+                    diag[key] += d[key]
+            return np.array(seg)
+
+    grid = _record_grid(T, dt)
+    cuts = np.arange(2.0, abs(lam) * T, 2.0) / abs(lam)
+    nodes = np.union1d(grid, cuts)
+    rows, a = [], 0
+    for b in [*nodes.searchsorted(cuts), nodes.size - 1]:
+        span = nodes[a : b + 1] - nodes[a]
+        # math.exp: np.exp is an ulp off at some nodes, which moves seeded paths
+        scale = np.array([math.exp(-lam * s) for s in span])[:, None]
+        rows.append((scale * flow(x, np.expm1(2.0 * lam * span) / (2.0 * lam)))[bool(rows) :])
+        x, a = rows[-1][-1], b
+    states = np.vstack(rows)[nodes.searchsorted(grid)]
+    return PathSample(CHAMBER_A, grid, states, stream.seed, stream.replica, diagnostics=diag)
 
 
 @functools.lru_cache(maxsize=8)

@@ -216,8 +216,10 @@ def test_validate_subcommand(tmp_path, capsys):
     assert main(["validate", "--config", str(cfg2)]) == 1
 
     # a key the preset does not take is named, not ignored
+    cfg3 = tmp_path / "cfg3.json"
+    cfg3.write_text(json.dumps({"preset": "frozen-a-profile", "n_list": [6], "replicas": 5}))
     with pytest.raises(SystemExit, match="'replicas'"):
-        main(["validate", "--config", str(cfg), "--replicas", "5"])
+        main(["validate", "--config", str(cfg3)])
 
 
 def test_limit_law_b_density_subcommand(tmp_path):

@@ -125,14 +125,14 @@ def test_even_part_of_quartercircle_is_semicircle():
 def test_square_then_sqrt_is_identity_on_halfline_laws():
     mp = fp.marchenko_pastur(1.5, 0.5)
     law = fp.sqrt_law(mp)
-    assert fp.square_pushforward(law) is mp
+    assert law.squared() is mp
     # and at density level: f_sqrt(x) = 2x f_sq(x^2)
     xs = np.linspace(0.1, 1.4, 7)
     assert np.allclose(law.density(xs), 2 * xs * mp.density(xs**2))
 
 
 def test_square_pushforward_of_semicircle_is_mp():
-    law = fp.square_pushforward(fp.semicircle(2 * math.sqrt(0.7)))
+    law = fp.semicircle(2 * math.sqrt(0.7)).squared()
     assert isinstance(law, fp.MarchenkoPastur)
     assert law.c == pytest.approx(1.0)
     assert law.t == pytest.approx(0.7)

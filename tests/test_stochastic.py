@@ -187,8 +187,44 @@ def test_ou_frozen_path_past_the_float64_range_of_exp_2_lam_t():
     lam, x0 = 10.0, np.linspace(3, -2, 5)
     p = simulate_bessel_ou(x0, math.inf, lam, 40.0, 8.0, RngStream(0, 0))
     assert np.abs(p.states[1:] - math.sqrt(1 / lam) * hermite_zeros(5).zeros).max() < 1e-9
-    with pytest.raises(ValueError, match="lam = -10, T = 80"):
-        simulate_bessel_ou(x0, math.inf, -10.0, 80.0, 1.0, RngStream(0, 0))
+    # the finite-k transform restarts its warp too; E sum X^2 follows the Ito
+    # identity dS = (N(N-1) + N/k - 2 lam S) dt
+    n, k, T, reps = 5, 2.0, 40.0, 25
+    s = np.empty(reps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in range(reps):
+            p = simulate_bessel_ou(x0, k, lam, T, 4.0, RngStream(3, r), "transform")
+            assert np.isfinite(p.states).all()
+            s[r] = np.sum(p.states[-1] ** 2)
+    decay = math.exp(-2 * lam * T)
+    expect = decay * np.sum(x0**2) + (1 - decay) * (n * (n - 1) + n / k) / (2 * lam)
+    assert abs(s.mean() - expect) < 3 * s.std(ddof=1) / math.sqrt(reps)
+    # exp(-lam T) = exp(800) overflows in every route
+    for k, mode in [(2.0, "direct"), (2.0, "transform"), (math.inf, "direct")]:
+        with pytest.raises(ValueError, match="lam = -10, T = 80"):
+            simulate_bessel_ou(x0, k, -10.0, 80.0, 1.0, RngStream(0, 0), mode)
+
+
+def test_ou_transform_without_restart_is_the_chained_lam_zero_path_bitwise():
+    # |lam| T = 2: no restart, so one warped grid carries the whole path
+    x0, k, lam, T, dt = np.linspace(2.0, -2.0, 6), 1.0, -1.0, 2.0, 0.02
+    p = simulate_bessel_ou(x0, k, lam, T, dt, RngStream(8, 1), mode="transform")
+    grid, rng = st._record_grid(T, dt), RngStream(8, 1).generator()
+    x = st._em_start(x0, CHAMBER_A, 0.0, dt)
+    states = [x]
+    diag = {"max_violation": 0.0, "min_gap": np.inf} | dict.fromkeys(st._EM_COUNTERS, 0)
+    for w in np.diff(np.expm1(2 * lam * grid) / (2 * lam)):
+        _, seg, d = st._em_path(x, drift_a, k, CHAMBER_A, w, w, rng)
+        x = seg[-1]
+        states.append(x)
+        diag["max_violation"] = max(diag["max_violation"], d["max_violation"])
+        diag["min_gap"] = min(diag["min_gap"], d["min_gap"])
+        for key in st._EM_COUNTERS:
+            diag[key] += d[key]
+    expect = np.array([math.exp(-lam * t) * y for t, y in zip(grid, states)])
+    assert expect.tobytes() == p.states.tobytes()
+    assert diag == p.diagnostics
 
 
 def test_dunkl_jump_rates_examples():
@@ -564,6 +600,8 @@ def test_em_counters_present_and_reproducible():
         lambda s: simulate_bessel_b(x0, 12.0, 0.5, 0.2, 0.01, s),
         lambda s: simulate_bessel_ou(x0, 1.0, 0.7, 0.2, 0.01, s, mode="direct"),
         lambda s: simulate_bessel_ou(x0, 1.0, 0.7, 0.2, 0.01, s, mode="transform"),
+        # restarts at t = 2/3 and 4/3, off the record grid
+        lambda s: simulate_bessel_ou(x0, 1.0, 3.0, 2.0, 0.25, s, mode="transform"),
     ]
     for run in runs:
         first, again = run(RngStream(31, 2)), run(RngStream(31, 2))
@@ -573,8 +611,11 @@ def test_em_counters_present_and_reproducible():
         assert all(type(d[key]) is int for key in st._EM_COUNTERS)
         assert d["substeps"] >= 20 and 0 <= d["floor_substeps"] <= d["substeps"]
     # transform mode sums its segments' counters: one segment per record step
+    # and one more per restart off the record grid
     p = simulate_bessel_ou(x0, 1.0, 0.7, 0.2, 0.01, RngStream(31, 2), mode="transform")
     assert p.diagnostics["substeps"] >= p.times.size - 1
+    p = simulate_bessel_ou(x0, 1.0, 3.0, 2.0, 0.25, RngStream(31, 2), mode="transform")
+    assert p.diagnostics["substeps"] >= p.times.size - 1 + 2
 
 
 def test_frozen_dunkl_zero_start_rejected_quickly():
