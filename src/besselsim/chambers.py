@@ -20,6 +20,9 @@ FULL_SPACE = "full"
 
 _CHAMBERS = (CHAMBER_A, CHAMBER_B, FULL_SPACE)
 
+# Doubles per row block of ``pair_sums`` (1 MB).
+_PAIR_BLOCK = 1 << 17
+
 
 class SingularConfigurationError(ValueError):
     """Configuration lies on a reflecting hyperplane where a drift term blows up."""
@@ -125,3 +128,34 @@ def _gaps(x, wall):
     if wall:
         g = min(g, float(x[-1]))
     return d, g
+
+
+def pair_sums(num, y) -> np.ndarray:
+    """Row sums sum_{j != i} num_i/(y_i - y_j) for a scalar or per-row ``num``.
+
+    The N x N pair matrix is never held whole: row blocks of at most
+    ``_PAIR_BLOCK`` entries of one buffer are filled, divided and summed in
+    place, so each element and each row reduction is the one a dense
+    evaluation makes, while memory stays bounded.  Coincident ``y`` raise
+    SingularConfigurationError; non-finite input raises ValueError.
+    """
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    out = np.zeros(n)
+    if n < 2:
+        return out
+    num = np.asarray(num, dtype=float)
+    rows = min(n, max(1, _PAIR_BLOCK // n))
+    buf = np.empty((rows, n))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lo in range(0, n, rows):
+            d = buf[: min(rows, n - lo)]
+            np.subtract(y[lo : lo + rows, None], y, out=d)
+            d.ravel()[lo :: n + 1] = np.inf  # the block's diagonal entries (i, i)
+            np.divide(num if num.ndim == 0 else num[lo : lo + rows, None], d, out=d)
+            d.sum(axis=1, out=out[lo : lo + rows])
+    if not (np.isfinite(out).all() and np.isfinite(y).all()):
+        if not (np.isfinite(y).all() and np.isfinite(num).all()):
+            raise ValueError("non-finite input to a pair sum")
+        raise SingularConfigurationError("coincident coordinates in a pair sum")
+    return out

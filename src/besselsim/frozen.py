@@ -28,6 +28,7 @@ from .chambers import (
     ChamberPoint,
     SingularConfigurationError,
     _gaps,
+    pair_sums,
     project_to_chamber,
 )
 from .zeros import profile_solution_a, profile_solution_b
@@ -65,16 +66,15 @@ class FrozenTrajectory:
         return ChamberPoint(self.states[idx].copy(), self.chamber)
 
 
+def _check_nu(nu):
+    """Refuse a type B multiplicity nu that is not finite and >= 0 (NaN fails every comparison)."""
+    if not 0.0 <= nu < math.inf:
+        raise ValueError(f"nu must be nonnegative and finite, got {nu}")
+
+
 def drift_a(x) -> np.ndarray:
     """Type A drift: component i is sum_{j != i} 1/(x_i - x_j)."""
-    x = np.asarray(x, dtype=float)
-    if x.size == 1:
-        return np.zeros(1)
-    d = x[:, None] - x[None, :]
-    np.fill_diagonal(d, np.inf)
-    if np.any(d == 0.0):
-        raise SingularConfigurationError("coincident coordinates in type A drift")
-    return (1.0 / d).sum(axis=1)
+    return pair_sums(1.0, x)
 
 
 def drift_b(x, nu: float) -> np.ndarray:
@@ -84,16 +84,8 @@ def drift_b(x, nu: float) -> np.ndarray:
     reuse it); the nu/x term is only formed when nu > 0.
     """
     x = np.asarray(x, dtype=float)
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
-    sq = x * x
-    out = np.zeros_like(x)
-    if x.size > 1:
-        d = sq[:, None] - sq[None, :]
-        np.fill_diagonal(d, np.inf)
-        if np.any(d == 0.0):
-            raise SingularConfigurationError("coincident squared coordinates in type B drift")
-        out = (2.0 * x[:, None] / d).sum(axis=1)
+    _check_nu(nu)
+    out = pair_sums(2.0 * x, x * x)
     if nu > 0:
         if np.any(x == 0.0):
             raise SingularConfigurationError("zero coordinate in type B drift with nu > 0")
@@ -133,7 +125,7 @@ _POWERS = np.arange(1, 5)
 
 def _order_ok(x, chamber):
     """Whether ``x`` is finite, descending and, in chamber B, nonnegative."""
-    if not np.all(np.isfinite(x)) or np.any(np.diff(x) > 0):
+    if not np.isfinite(x).all() or (x[1:] > x[:-1]).any():
         return False
     return not (chamber == CHAMBER_B and x[-1] < 0)
 
@@ -194,8 +186,9 @@ def solve_frozen(
         raise ValueError("system must be 'a' or 'b'")
     chamber = CHAMBER_A if system == "a" else CHAMBER_B
     if system == "b":
-        if nu is None or nu < 0:
+        if nu is None:
             raise ValueError("type B requires nu >= 0")
+        _check_nu(nu)
         nu_val = float(nu)
     else:
         nu_val = 0.0

@@ -52,7 +52,7 @@ from .chambers import (
     apply_reflection,
     project_to_chamber,
 )
-from .frozen import IntegrationError, _bootstrap_start, drift_a, drift_b, solve_frozen
+from .frozen import IntegrationError, _bootstrap_start, _check_nu, drift_a, drift_b, solve_frozen
 
 # Pairs closer than this to a reflecting hyperplane are excluded from jump
 # thinning: their rates are unbounded but the reflections displace the state
@@ -91,12 +91,9 @@ def _check_a(k):
 
 
 def _check_b(nu, beta):
-    """Type B multiplicities: beta = inf (frozen) needs nu >= 0, else the regular case."""
-    if math.isinf(beta):
-        if nu < 0:
-            raise ValueError("nu must be nonnegative")
-        return
-    if not (beta >= 0.5 and nu * beta >= 0.5):
+    """Type B multiplicities: finite nu >= 0, and beta = inf (frozen) or the regular case."""
+    _check_nu(nu)
+    if not (math.isinf(beta) or (beta >= 0.5 and nu * beta >= 0.5)):
         raise ValueError("regular case requires beta >= 1/2 and nu*beta >= 1/2")
 
 

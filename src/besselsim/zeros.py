@@ -17,7 +17,9 @@ and the zeros of L_N^(nu-1) solve
     z_i = sum_{j != i} 2 z_i/(z_i - z_j) + nu.
 
 That system is the check, not the solver: each ZeroProfile carries the
-max-norm of its defect at the returned zeros.  Scaled square-root
+max-norm of its defect at the returned zeros.  The defect sums come from
+``chambers.pair_sums``, which works through the pair matrix in row blocks
+of bounded size, so the check holds no N x N array.  Scaled square-root
 profiles of the zeros are exact self-similar solutions of the frozen
 particle ODEs.
 """
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .chambers import CHAMBER_A, CHAMBER_B, ChamberPoint
+from .chambers import CHAMBER_A, CHAMBER_B, ChamberPoint, pair_sums
 
 
 @dataclass(frozen=True)
@@ -45,21 +47,13 @@ class ZeroProfile:
 def hermite_defect(z: np.ndarray) -> np.ndarray:
     """Componentwise defect z_i - sum_{j != i} 1/(z_i - z_j)."""
     z = np.asarray(z, dtype=float)
-    if z.size == 1:
-        return z.copy()
-    d = z[:, None] - z[None, :]
-    np.fill_diagonal(d, np.inf)
-    return z - (1.0 / d).sum(axis=1)
+    return z - pair_sums(1.0, z)
 
 
 def laguerre_defect(z: np.ndarray, nu: float) -> np.ndarray:
     """Componentwise defect z_i - nu - sum_{j != i} 2 z_i/(z_i - z_j)."""
     z = np.asarray(z, dtype=float)
-    if z.size == 1:
-        return z - nu
-    d = z[:, None] - z[None, :]
-    np.fill_diagonal(d, np.inf)
-    return z - nu - (2.0 * z[:, None] / d).sum(axis=1)
+    return z - nu - pair_sums(2.0 * z, z)
 
 
 def hermite_zeros(n: int) -> ZeroProfile:

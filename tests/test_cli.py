@@ -440,6 +440,14 @@ def test_limit_moments_csv_start_shorter_than_the_order_fails(tmp_path, system, 
             ["limit-law", "--kind", "a", "--t", "0.5", "--grid=-1:1"],
             "limit-law: --grid -1:1: expected X0:X1:COUNT$",
         ),
+        (
+            ["frozen", "--system", "b", "--nu", "nan", "--n", "3", "--t-grid", "0:1:3"],
+            "frozen: nu must be nonnegative and finite, got nan$",
+        ),
+        (
+            ["simulate", "--system", "bessel-b", "--nu", "nan", "--beta", "inf", "--n", "3", "--t", "1", "--dt", "0.1"],
+            "simulate: nu must be nonnegative and finite, got nan$",
+        ),
     ],
 )
 def test_bad_input_exits_with_one_line_naming_the_command(tmp_path, argv, message):

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import besselsim.frozen as frozen
-from besselsim.chambers import SingularConfigurationError
+from besselsim.chambers import _PAIR_BLOCK, SingularConfigurationError
 from besselsim.frozen import drift_a, drift_b, ou_transform_frozen, solve_frozen
 from besselsim.harness import SCALE_SQRT_N, starting_profile
 from besselsim.zeros import hermite_zeros, laguerre_zeros, profile_solution_b
@@ -44,6 +45,69 @@ def test_drift_singular_configurations():
         drift_b([2.0, 2.0], 1.0)
     with pytest.raises(SingularConfigurationError):
         drift_b([2.0, 0.0], 1.0)
+
+
+# The largest N whose pair matrix is a single row block of the pair-sum kernel.
+_ONE_BLOCK = math.isqrt(_PAIR_BLOCK)
+
+
+def _dense_pairs(num_col, y):
+    """The dense pair-matrix row sums the kernel replaces: sum_{j != i} num_i/(y_i - y_j)."""
+    d = y[:, None] - y[None, :]
+    np.fill_diagonal(d, np.inf)
+    return (num_col / d).sum(axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 150, _ONE_BLOCK - 1, _ONE_BLOCK, _ONE_BLOCK + 1, 2000])
+def test_drifts_equal_the_dense_pair_matrix_bitwise(n):
+    rng = np.random.default_rng(n)
+    x = np.sort(rng.standard_normal(n))[::-1] * math.sqrt(n)
+    mags = np.sort(np.abs(x))[::-1] + 0.01
+    if n == 1:
+        assert np.array_equal(drift_a(x), [0.0]) and np.array_equal(drift_b(mags, 0.0), [0.0])
+    else:
+        assert drift_a(x).tobytes() == _dense_pairs(1.0, x).tobytes()
+        dense_b = _dense_pairs(2.0 * mags[:, None], mags * mags)
+        assert drift_b(mags, 0.0).tobytes() == dense_b.tobytes()
+        assert drift_b(mags, 1.5).tobytes() == (dense_b + 1.5 / mags).tobytes()
+        # full-space Dunkl states carry coordinates of either sign
+        assert drift_b(x, 0.0).tobytes() == _dense_pairs(2.0 * x[:, None], x * x).tobytes()
+
+
+@pytest.mark.parametrize(
+    "drift,x",
+    [
+        (drift_a, [1.0, 1.0]),
+        (drift_a, np.append(np.linspace(5.0, -5.0, 1999), -5.0)),  # the pair sits in the last row block
+        (lambda x: drift_b(x, 0.0), [2.0, 1.0, -2.0]),  # x and -x
+        (lambda x: drift_b(x, 0.0), [0.0, -0.0]),
+        (lambda x: drift_b(x, 1.0), [2.0, 0.0]),  # a zero coordinate with nu > 0
+    ],
+)
+def test_singular_drifts_raise_without_a_warning(drift, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularConfigurationError):
+            drift(np.asarray(x))
+
+
+@pytest.mark.parametrize("x", [[1.0, math.nan, 0.0], [math.inf, 1.0]])
+def test_non_finite_drift_input_is_named_as_such(x):
+    for drift in (drift_a, lambda y: drift_b(y, 0.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite") as err:
+                drift(np.asarray(x))
+        assert not isinstance(err.value, SingularConfigurationError)
+        assert "coincident" not in str(err.value)
+
+
+@pytest.mark.parametrize("nu", [math.nan, math.inf, -1.0])
+def test_type_b_refuses_a_nu_that_is_not_finite_and_nonnegative(nu):
+    with pytest.raises(ValueError, match="nu must be nonnegative and finite"):
+        solve_frozen("b", [3.0, 2.0, 1.0], [0.0, 0.5], nu=nu)
+    with pytest.raises(ValueError, match="nu must be nonnegative and finite"):
+        drift_b([3.0, 2.0, 1.0], nu)
 
 
 def test_frozen_a_from_origin_is_hermite_profile():

@@ -44,8 +44,10 @@ def test_multiplicity_validation():
             simulate(x0, 0.5, 0.5, 0.01, 0.01, s)  # nu*beta < 1/2
         with pytest.raises(ValueError, match="beta >= 1/2"):
             simulate(x0, 1.0, 0.25, 0.01, 0.01, s)
-        with pytest.raises(ValueError, match="nu must be nonnegative"):
-            simulate(x0, -1.0, math.inf, 0.01, 0.01, s)
+        for bad_nu in (-1.0, math.nan, math.inf):  # NaN passes both nu < 0 and nu > 0 tests
+            for beta in (math.inf, 1.0):
+                with pytest.raises(ValueError, match="nu must be nonnegative"):
+                    simulate(x0, bad_nu, beta, 0.01, 0.01, s)
 
 
 def test_rng_streams_reproducible_and_independent():

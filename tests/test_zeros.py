@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from besselsim.chambers import _PAIR_BLOCK
 from besselsim.frozen import drift_a, drift_b
 from besselsim.zeros import (
     hermite_defect,
@@ -124,6 +126,38 @@ def test_laguerre_product_identity_small_nu(n, nu):
     z = laguerre_zeros(n, nu).zeros
     expect = sum(math.log(nu + j) for j in range(n))
     assert abs(np.log(z).sum() - expect) < 1e-9
+
+
+_ONE_BLOCK = math.isqrt(_PAIR_BLOCK)  # the largest N whose pair sums take one row block
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 150, _ONE_BLOCK - 1, _ONE_BLOCK, _ONE_BLOCK + 1, 2000])
+def test_defects_equal_the_dense_pair_matrix_bitwise(n):
+    z, nu = hermite_zeros(n).zeros, 1.5
+    zl = laguerre_zeros(n, nu).zeros
+    if n == 1:
+        assert np.array_equal(hermite_defect(z), z) and np.array_equal(laguerre_defect(zl, nu), zl - nu)
+        return
+    d = z[:, None] - z[None, :]
+    np.fill_diagonal(d, np.inf)
+    assert hermite_defect(z).tobytes() == (z - (1.0 / d).sum(axis=1)).tobytes()
+    d = zl[:, None] - zl[None, :]
+    np.fill_diagonal(d, np.inf)
+    assert laguerre_defect(zl, nu).tobytes() == (zl - nu - (2.0 * zl[:, None] / d).sum(axis=1)).tobytes()
+
+
+def test_zero_residuals_at_n_4000_hold_no_pair_matrix():
+    # Two dense 4000 x 4000 pair matrices would trace 256 MB.
+    hermite_zeros(8), laguerre_zeros(8, 1.5)  # warm imports and LAPACK outside the trace
+    tracemalloc.start()
+    try:
+        h, lag = hermite_zeros(4000), laguerre_zeros(4000, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert h.residual < 1e-8  # 1.4e-9: the defect's sensitivity grows with N
+    assert lag.residual <= 1e-11 * float(lag.zeros.max())
 
 
 def test_invalid_parameters():
