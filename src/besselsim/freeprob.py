@@ -550,7 +550,12 @@ class SquareRoot(LimitLaw):
         return SpectralDensity(grid, density, sd.clip_mass, diverged, atoms)
 
     def _cdf(self, x):
-        fs = self.sq_law.cdf(x * x)
+        if type(self.sq_law)._cdf is LimitLaw._cdf:
+            # Inverting G of the square on its grid over [-R_sq, R_sq] meets w = 0,
+            # where f_sq can grow like 1/sqrt(w); the x-side density is bounded.
+            r = self.support_radius()
+            return self.spectral_density(np.linspace(-r if self.symmetrized else 0.0, r, _CDF_POINTS)).cdf(x)
+        fs = self.sq_law.cdf(x * x)  # closed form: exact
         if self.symmetrized:
             return np.where(x >= 0, 0.5 + fs / 2.0, (1.0 - fs) / 2.0)
         return np.where(x >= 0, fs, 0.0)

@@ -70,6 +70,10 @@ _BOUND_ROUNDING = 1e-9
 _EM_COUNTERS = ("substeps", "floor_substeps", "pair_flows", "wall_flows", "clipped")
 # Drift corrections of a hot pair (i, j), interleaved as (i, j): -1/u and +1/u.
 _PAIR_SIGNS = np.array([-1.0, 1.0])
+# An Euler-Maruyama sub-step is never shorter than dt / _FLOOR_PARTS.  The weak
+# bias on E sum X^2 and the sixth moment reads the same at dt/8 and dt/4 at
+# N = 100 (tools/em_floor_bias.py), and dt/4 takes up to half the sub-steps.
+_FLOOR_PARTS = 4.0
 
 
 @dataclass(frozen=True)
@@ -91,9 +95,10 @@ def _check_a(k):
 
 
 def _check_b(nu, beta):
-    """Type B multiplicities: finite nu >= 0, and beta = inf (frozen) or the regular case."""
+    """Type B multiplicities: finite nu >= 0, and beta = +inf (frozen) or the regular case."""
     _check_nu(nu)
-    if not (math.isinf(beta) or (beta >= 0.5 and nu * beta >= 0.5)):
+    # callers route on math.isinf(beta), so -inf must fail here
+    if not (beta == math.inf or (beta >= 0.5 and nu * beta >= 0.5)):
         raise ValueError("regular case requires beta >= 1/2 and nu*beta >= 1/2")
 
 
@@ -132,11 +137,11 @@ def _em_path(x0, drift, coupling, chamber, T, dt, rng, nu=0.0):
 
     The noise scale is 1/sqrt(coupling), for the coupling k (type A) or
     beta (type B).  Sub-steps obey h <= gap^2 * min(1, coupling) with a
-    floor of dt/8, where the gap is the smallest adjacent gap (and, for
-    type B with nu > 0, the distance to the wall).  Every pair closer
-    than 4 sqrt(h) (the scale where an Euler increment stops tracking the
-    singular repulsion) has its mutual flow du = 2/u dt applied exactly
-    as u' = sqrt(u^2 + 4h), tightest pair first; a type B coordinate
+    floor of dt/4 (``_FLOOR_PARTS``), where the gap is the smallest
+    adjacent gap (and, for type B with nu > 0, the distance to the wall).
+    Every pair closer than 4 sqrt(h) (the scale where an Euler increment
+    stops tracking the singular repulsion) has its mutual flow
+    du = 2/u dt applied exactly as u' = sqrt(u^2 + 4h), tightest pair first; a type B coordinate
     inside 4 sqrt(nu h) of the wall gets the exact wall flow x' = sqrt(x^2 + 2 nu h).  These maps
     preserve each interaction term's exact second-moment production, they
     bound the remaining Euler drift by sqrt(h)/4 per interaction, and
@@ -157,7 +162,7 @@ def _em_path(x0, drift, coupling, chamber, T, dt, rng, nu=0.0):
     states = np.empty((times.size, n))
     states[0] = x
     wall = chamber == CHAMBER_B and nu > 0
-    h_floor = dt / 8.0
+    h_floor = dt / _FLOOR_PARTS
     max_violation = 0.0
     min_gap = _gaps(x, wall)[1]
     count = dict.fromkeys(_EM_COUNTERS, 0)

@@ -448,6 +448,13 @@ def test_limit_moments_csv_start_shorter_than_the_order_fails(tmp_path, system, 
             ["simulate", "--system", "bessel-b", "--nu", "nan", "--beta", "inf", "--n", "3", "--t", "1", "--dt", "0.1"],
             "simulate: nu must be nonnegative and finite, got nan$",
         ),
+        *(
+            (
+                ["simulate", "--system", system, "--nu", "1", "--beta=-inf", "--n", "3", "--t", "1", "--dt", "0.1"],
+                "simulate: regular case requires beta >= 1/2 and nu\\*beta >= 1/2$",
+            )
+            for system in ("bessel-b", "dunkl-b")
+        ),
     ],
 )
 def test_bad_input_exits_with_one_line_naming_the_command(tmp_path, argv, message):

@@ -685,6 +685,22 @@ def test_composite_cdf_integrates_the_inverted_density():
     assert vars(law) == before
 
 
+@pytest.mark.parametrize("nu0", [0.0, 0.1, 1.0])
+def test_type_b_composite_cdf_has_mass_one_and_is_zero_below_the_support(nu0):
+    # read from the squared side, nu0 = 0 put 0.19 of the mass below x = 0
+    law = fp.limit_law_b(fp.quartercircle_law(), nu0, 0.5)
+    r = law.support_radius()
+    xs = np.linspace(-1.0, 1.1 * r, 301)
+    cdf = law.cdf(xs)
+    assert np.all(cdf[xs < 0] == 0.0) and law.cdf(-1e-9) == 0.0
+    assert np.all(np.diff(cdf) >= 0.0)
+    assert law.cdf(1.01 * r) == pytest.approx(1.0, abs=1e-12)
+    sym = fp.sqrt_law(law.sq_law, symmetrized=True)
+    assert sym.cdf(-1.01 * r) == 0.0
+    assert sym.cdf(0.0) == pytest.approx(0.5, abs=1e-9)
+    assert sym.cdf(1.01 * r) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_composite_derivatives_match_finite_differences():
     qc = fp.quartercircle_law()
     laws = [

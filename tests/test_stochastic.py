@@ -17,6 +17,7 @@ from besselsim.chambers import (
     project_to_chamber,
 )
 from besselsim.frozen import IntegrationError, drift_a, drift_b, ou_transform_frozen, solve_frozen
+from besselsim.harness import SCALE_SQRT_2N, SCALE_SQRT_N, starting_profile
 from besselsim.stochastic import (
     RngStream,
     simulate_bessel_a,
@@ -44,6 +45,9 @@ def test_multiplicity_validation():
             simulate(x0, 0.5, 0.5, 0.01, 0.01, s)  # nu*beta < 1/2
         with pytest.raises(ValueError, match="beta >= 1/2"):
             simulate(x0, 1.0, 0.25, 0.01, 0.01, s)
+        for bad_beta in (-math.inf, math.nan):  # -inf used to run the beta = +inf path
+            with pytest.raises(ValueError, match="beta >= 1/2"):
+                simulate(x0, 1.0, bad_beta, 0.01, 0.01, s)
         for bad_nu in (-1.0, math.nan, math.inf):  # NaN passes both nu < 0 and nu > 0 tests
             for beta in (math.inf, 1.0):
                 with pytest.raises(ValueError, match="nu must be nonnegative"):
@@ -497,7 +501,7 @@ def _scalar_em_path(x0, drift, sigma, chamber, T, dt, rng, gap_scale, nu=0.0):
     states[0] = x
     diag = dict(max_violation=0.0, min_gap=gap_of(x), substeps=0, floor_substeps=0,
                 pair_flows=0, wall_flows=0, clipped=0)
-    h_floor = dt / 8.0
+    h_floor = dt / 4.0
     for idx in range(1, times.size):
         t_target, t = times[idx], times[idx - 1]
         while t_target - t > 1e-12 * max(1.0, T):
@@ -618,6 +622,17 @@ def test_em_counters_present_and_reproducible():
     assert p.diagnostics["substeps"] >= p.times.size - 1
     p = simulate_bessel_ou(x0, 1.0, 3.0, 2.0, 0.25, RngStream(31, 2), mode="transform")
     assert p.diagnostics["substeps"] >= p.times.size - 1 + 2
+
+
+def test_floor_limited_record_step_takes_four_substeps():
+    # every gap stays below the floor's, so each sub-step is dt/4 long
+    paths = [
+        simulate_bessel_a(starting_profile("zero", 50, SCALE_SQRT_N, CHAMBER_A), 0.5, 1.0, 1.0, RngStream(3, 0)),
+        simulate_bessel_b(starting_profile("zero", 50, SCALE_SQRT_2N, CHAMBER_B), 50.0, 0.5, 1.0, 1.0, RngStream(3, 0)),
+    ]
+    for p in paths:
+        assert p.times.size == 2
+        assert p.diagnostics["substeps"] == p.diagnostics["floor_substeps"] == 4
 
 
 def test_frozen_dunkl_zero_start_rejected_quickly():
