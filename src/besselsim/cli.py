@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -331,6 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; bad input exits with one line naming the command."""
+    # argparse reads a value such as -inf or -1e-3 as an option, so glue it to its flag
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if re.fullmatch(r"--\w[\w-]*", argv[i - 1]) and re.match(r"-(\.?\d|inf|nan)", argv[i], re.I):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -19,8 +19,10 @@ and replicas, and keeps even power sums bit-identical across seeds.  Its
 jumps are sampled exactly in slot space (the envelope's sorted
 magnitudes, one sign per slot and a label map) by Lewis-Shedler thinning
 against rate bounds that hold over each record interval, because the
-envelope is linear between its nodes; each proposal is accepted with the
-exact rate of its reflection at the interpolated envelope.  At finite
+envelope is linear between its nodes, and whatever the signs, so each
+interval's proposals are drawn in one batch; a pass in time order accepts
+each with the exact rate its current signs give its reflection at the
+interpolated envelope.  At finite
 beta, operator splitting (drift, diffusion, jumps) is used, with
 first-event jumps whose rates are frozen at the window start and
 refreshed at every event and at least once per step.
@@ -35,7 +37,6 @@ replica) pairs, so runs are reproducible bit for bit.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -425,28 +426,29 @@ def _next_jump(v, nu, rng, window):
     raise AssertionError("unreachable jump category")
 
 
-def _slot_bounds(rho, nu, out):
+def _slot_bounds(rho, nu):
     """Jump-rate bounds in slot space over envelope nodes ``rho`` (rows: times).
 
     A slot is one column of the sorted envelope.  Between nodes the
     envelope is linear, so over the nodes' span each slot magnitude is at
     least its smallest node value m_a, and each adjacent gap at least its
     smallest node gap; cumulative sums d of those gap minima bound the
-    magnitude differences, rho_a - rho_b >= d_b - d_a for a < b.  Returns the
-    flip bounds nu/(2 m_a^2) and the symmetric pair bounds 1/(m_a + m_b)^2
-    (``over_sum``) and 1/(d_b - d_a)^2 (``over_diff``).  The sign-swap of
-    two slots runs at rate 1/(rho_a + rho_b)^2 when their signs are equal
-    and at 1/(rho_a - rho_b)^2 when they are opposite.  A bound whose
-    distance is within the exclusion threshold is 0, and so is a diagonal.
-    The pair bounds are written into ``out``, two (N, N) arrays reused
-    across calls (fresh arrays of that size cost more than the arithmetic).
+    magnitude differences, rho_a - rho_b >= d_b - d_a for a < b.  The
+    sign-swap of slots a < b runs at rate 1/(rho_a + rho_b)^2 when their
+    signs are equal and at 1/(rho_a - rho_b)^2 when they are opposite, with
+    the bounds 1/(m_a + m_b)^2 (``over_sum``) and 1/(d_b - d_a)^2
+    (``over_diff``) over the pairs of ``_pairs``; a bound whose distance is
+    within the exclusion threshold is 0.  As m_a + m_b >= d_b - d_a, the
+    sign-blind bound max(over_sum, over_diff) dominates either rate and is
+    ``over_diff`` wherever that is not excluded.  Returns the flip bounds
+    nu/(2 m_a^2), the sign-blind pair bounds, ``over_sum`` and ``over_diff``.
     """
     m = rho.min(axis=0)
     d = np.concatenate(([0.0], np.cumsum((rho[:, :-1] - rho[:, 1:]).min(axis=0))))
-    over_sum = _excluded_inverse_square(np.add.outer(m, m, out=out[0]))
-    np.fill_diagonal(over_sum, 0.0)
-    over_diff = _excluded_inverse_square(np.subtract.outer(d, d, out=out[1]))
-    return 0.5 * nu * _excluded_inverse_square(m), over_sum, over_diff
+    iu, ju = _pairs(m.size)
+    over_sum = _excluded_inverse_square(m[iu] + m[ju])
+    over_diff = _excluded_inverse_square(d[ju] - d[iu])
+    return 0.5 * nu * _excluded_inverse_square(m), np.maximum(over_sum, over_diff), over_sum, over_diff
 
 
 def _slot_move(sigma, labels, a, b=None):
@@ -461,26 +463,49 @@ def _slot_move(sigma, labels, a, b=None):
         labels[a], labels[b] = labels[b], labels[a]
 
 
-def _refresh_bounds(w, row, sigma, over_sum, over_diff, c):
-    """Bring row and column c of the sign-swap bounds ``w`` and the row sums to sigma_c."""
-    new = np.where(sigma == sigma[c], over_sum[c], over_diff[c])
-    row += new - w[c]
-    row[c] = new.sum()
-    w[c] = new
-    w[:, c] = new
-
-
 def _check_bound(rate, bound, t):
-    """Raise unless the exact rate of a proposal is within its thinning bound."""
-    if rate > bound * (1.0 + _BOUND_ROUNDING):
-        raise RuntimeError(f"jump rate {rate:.6g} above its thinning bound {bound:.6g} at t={t:.6g}")
+    """Raise unless every proposal's exact rate is within its thinning bound."""
+    for i in np.flatnonzero(rate > bound * (1.0 + _BOUND_ROUNDING))[:1]:
+        raise RuntimeError(f"jump rate {rate[i]:.6g} above its thinning bound {bound[i]:.6g} at t={t[i]:.6g}")
 
 
-def _pick(cum, v):
-    """Index whose interval of the running sums ``cum`` holds v in [0, cum[-1])."""
-    i = int(cum.searchsorted(v, "right"))
-    # v rounded up to the total falls on the last positive weight
-    return i if i < cum.size else int(cum.searchsorted(cum[-1]))
+def _proposals(nodes, g, nu, ends, rng):
+    """One record interval's thinning proposals (Lewis and Shedler, Naval Res. Logist. Q. 26, 1979).
+
+    The sign-blind bounds of ``_slot_bounds`` over ``nodes`` (at times
+    ``g``) hold whatever the signs, so a Poisson count of sorted uniform
+    times and of jumps (slot ``ends``, second end -1 for a flip) picked by
+    bound is drawn at once, and tested at the interpolated envelope against
+    both rates a sign-swap can have.  Returns the count and, for those
+    accepted at some sign relation: times, ends, and the verdicts at equal
+    and at opposite signs.
+    """
+    flip, pair, over_sum, over_diff = _slot_bounds(nodes, nu)
+    bound = np.concatenate((flip, pair))
+    cum = np.cumsum(bound)
+    k = int(rng.poisson(cum[-1] * (g[-1] - g[0])))
+    if k == 0:
+        return 0, []
+    u = rng.random((3, k))
+    t = g[0] + (g[-1] - g[0]) * np.sort(u[0])
+    # a draw rounded up to the total falls on the last positive bound
+    pick = np.minimum(cum.searchsorted(u[1] * cum[-1], "right"), cum.searchsorted(cum[-1]))
+    a, b, w = ends[0][pick], ends[1][pick], bound[pick]
+    j = np.minimum(g.searchsorted(t, "right") - 1, g.size - 2)
+    s = (t - g[j]) / (g[j + 1] - g[j])
+    ra = (1.0 - s) * nodes[j, a] + s * nodes[j + 1, a]
+    rb = (1.0 - s) * nodes[j, b] + s * nodes[j + 1, b]
+    # a flip has one rate; an excluded reflection has rate 0 (its distance may be 0)
+    flips = b < 0
+    scale = np.where(flips, 0.5 * nu, 1.0)
+    on = [np.concatenate((flip, over))[pick] > 0.0 for over in (over_sum, over_diff)]
+    same = np.divide(scale, np.where(flips, ra, ra + rb) ** 2, out=np.zeros(k), where=on[0])
+    opp = np.divide(scale, np.where(flips, ra, ra - rb) ** 2, out=np.zeros(k), where=on[1])
+    _check_bound(np.maximum(same, opp), w, t)
+    w *= u[2]
+    same_ok, opp_ok = w < same, w < opp
+    live = np.flatnonzero(same_ok | opp_ok)
+    return k, [x[live].tolist() for x in (t, a, b, same_ok, opp_ok)]
 
 
 def _slot_jump_path(rho, grid, times, labels, sigma, nu, rng):
@@ -488,70 +513,33 @@ def _slot_jump_path(rho, grid, times, labels, sigma, nu, rng):
 
     The state lives in slot space: the envelope's sorted magnitudes, one
     sign per slot (``sigma``) and the label held by each slot (``labels``),
-    both updated in place.  Per record interval the bounds of
-    ``_slot_bounds`` over its nodes dominate every rate; proposals are drawn
-    from them (Lewis and Shedler, Naval Res. Logist. Q. 26, 1979), a pair
-    by its row sum, then by its entry, and accepted with the exact rate at
-    the linearly interpolated envelope.  A pair's bound depends on whether
-    its signs agree, so a sign change alters one row and one column of the
-    sign-swap bounds, kept with their row sums in O(N).
-    A rate above its bound by more than rounding raises.  Returns the
-    signed states at ``times``, the jump log and the jump counters.
+    both updated in place.  Each record interval's proposals come in one
+    batch from ``_proposals``; a pass in time order accepts each by its
+    current signs.  Returns the signed states at ``times``, the jump log
+    and the jump counters.
     """
+    n = labels.size
+    iu, ju = _pairs(n)
+    ends = np.concatenate((np.arange(n), iu)), np.concatenate((np.full(n, -1), ju))
     rec = np.searchsorted(grid, times)
-    grid = grid.tolist()
-    states = np.empty((times.size, labels.size))
+    states = np.empty((times.size, n))
     states[0, labels] = sigma * rho[rec[0]] + 0.0  # a zero magnitude is 0, not -0
     jump_log = []
     counts = dict.fromkeys(_JUMP_COUNTERS, 0)
-    bufs = np.empty((3, labels.size, labels.size))
-    w = bufs[2]  # sign-swap bounds at the current signs
     for idx in range(1, times.size):
         j0, j1 = int(rec[idx - 1]), int(rec[idx])
-        flip, over_sum, over_diff = _slot_bounds(rho[j0 : j1 + 1], nu, bufs[:2])
-        flip_cum = np.cumsum(flip)
-        flip_total = float(flip_cum[-1])
-        nodes = rho[j0 : j1 + 1].tolist()
-        np.copyto(w, over_diff)
-        np.copyto(w, over_sum, where=sigma[:, None] == sigma)
-        row = w.sum(axis=1)
-        t, t_end = grid[j0], grid[j1]
-        while (total := flip_total + 0.5 * float(row.sum())) > 0.0:
-            t += rng.standard_exponential() / total
-            if t >= t_end:
-                break
-            counts["proposals"] += 1
-            u = rng.random() * total
-            j = bisect.bisect_right(grid, t, j0, j1) - 1
-            s = (t - grid[j]) / (grid[j + 1] - grid[j])
-            lo, hi = nodes[j - j0], nodes[j + 1 - j0]
-            if u < flip_total:
-                a, b = _pick(flip_cum, u), None
-                r = (1.0 - s) * lo[a] + s * hi[a]
-                rate = 0.5 * nu / (r * r)
-                _check_bound(rate, flip[a], t)
-                if rng.random() * flip[a] >= rate:
-                    continue
-                kind = "flip"
+        k, batch = _proposals(rho[j0 : j1 + 1], grid[j0 : j1 + 1], nu, ends, rng)
+        counts["proposals"] += k
+        for t, a, b, by_sum, by_diff in zip(*batch):
+            if b < 0:
+                kind, refl, b = "flip", (int(labels[a]),), None
+            elif by_sum if sigma[a] == sigma[b] else by_diff:
+                kind, refl = "sign_swap", sorted((int(labels[a]), int(labels[b])))
             else:
-                a = _pick(row.cumsum(), 2.0 * (u - flip_total))
-                cw = w[a].cumsum()
-                a, b = sorted((a, _pick(cw, rng.random() * cw[-1])))
-                ra = (1.0 - s) * lo[a] + s * hi[a]
-                rb = (1.0 - s) * lo[b] + s * hi[b]
-                dist = ra + rb if sigma[a] == sigma[b] else ra - rb
-                # an excluded reflection has rate 0 (its distance may be 0)
-                rate = 1.0 / dist**2 if w[a, b] > 0.0 else 0.0
-                _check_bound(rate, w[a, b], t)
-                if rng.random() * w[a, b] >= rate:
-                    continue
-                kind = "sign_swap"
-            ends = (int(labels[a]),) if b is None else sorted((int(labels[a]), int(labels[b])))
-            jump_log.append((t, Reflection(kind, *ends)))
+                continue
+            jump_log.append((t, Reflection(kind, *refl)))
             counts[kind + "s"] += 1
             _slot_move(sigma, labels, a, b)
-            for c in (a,) if b is None else (a, b):
-                _refresh_bounds(w, row, sigma, over_sum, over_diff, c)
         states[idx, labels] = sigma * rho[j1] + 0.0
     return states, jump_log, counts
 
@@ -589,11 +577,14 @@ def simulate_dunkl_b(
     solve steps on its own controller to T and fills the fine grid from
     the Dormand-Prince continuous extension, so the grid's nodes cost no
     steps.  The jumps are sampled exactly for the linearly interpolated envelope, by
-    thinning in slot space (``_slot_jump_path``); ``diagnostics`` count the
-    ``proposals`` and the accepted ``flips`` and ``sign_swaps``.
-    A reflection within the exclusion threshold of its hyperplane anywhere
-    in a record interval stays off for that interval, so a nu = 0 start
-    with zero or coincident magnitudes is valid.
+    thinning in slot space against sign-blind bounds (``_slot_jump_path``);
+    ``diagnostics`` count the ``proposals`` and the accepted ``flips`` and
+    ``sign_swaps``.  A reflection within the exclusion threshold of its
+    hyperplane anywhere in a record interval stays off for that interval, so
+    a nu = 0 start with zero or coincident magnitudes is valid.  From an
+    all-zero start every rate scales as 1/t, so the signs and labels are
+    drawn uniformly at t = 0; a start with some but not all coordinates 0
+    is refused at nu > 0.
     Finite beta uses operator splitting: Euler drift, diffusion with scale
     1/sqrt(beta), then first-event jumps with rates frozen at the window
     start.  Its sub-steps obey h <= 0.25 gap^2 min(1, beta) with a floor of
@@ -608,10 +599,10 @@ def simulate_dunkl_b(
     times = _record_grid(T, dt)
 
     if math.isinf(beta):
-        if nu > 0 and np.any(x0 == 0.0):
+        zero_start = not x0.any()
+        if nu > 0 and not zero_start and np.any(x0 == 0.0):
             raise ValueError(
-                "frozen dunkl-b with nu > 0 needs a start without zero coordinates: "
-                "the flip rate nu/(2x^2) is infinite at t = 0"
+                "frozen dunkl-b with nu > 0 needs all or no coordinates 0: the flip rate nu/(2x^2) is infinite at t = 0"
             )
         # Deterministic envelope of |coordinates| on a grid fine enough for
         # linear interpolation of the jump rates.
@@ -619,10 +610,12 @@ def simulate_dunkl_b(
         env_grid = np.union1d(times, np.linspace(0.0, T, n_fine + 1))
         labels = np.argsort(np.abs(x0))[::-1]
         env = _dunkl_envelope(np.abs(x0)[labels].tobytes(), float(nu), env_grid.tobytes())
-        states, jump_log, counts = _slot_jump_path(
-            env.states, env_grid, times, labels, np.where(x0[labels] < 0, -1.0, 1.0),
-            nu, rng,
-        )
+        sigma = np.where(x0[labels] < 0, -1.0, 1.0)
+        if zero_start:
+            # every rate scales as 1/t, so at any t > 0 the signs are uniform
+            # and the labels a uniform permutation
+            labels, sigma = rng.permutation(x0.size), rng.choice([-1.0, 1.0], x0.size)
+        states, jump_log, counts = _slot_jump_path(env.states, env_grid, times, labels, sigma, nu, rng)
         return PathSample(
             FULL_SPACE,
             times,

@@ -110,10 +110,23 @@ def test_simulate_rejects_bad_start_and_record(tmp_path, extra, message):
 
 
 def test_simulate_frozen_dunkl_zero_start_exits_with_message(tmp_path):
-    argv = ["simulate", "--system", "dunkl-b", "--nu", "1", "--beta", "inf", "--n", "4"]
+    # a start with some zero coordinates at nu > 0 (an all-zero start is valid)
+    start = tmp_path / "x0.txt"
+    start.write_text("2\n0\n-1\n")
+    argv = ["simulate", "--system", "dunkl-b", "--nu", "0.5", "--beta", "inf", "--n", "3", "--start", f"file:{start}"]
     with pytest.raises(SystemExit, match=r"flip rate nu/\(2x\^2\) is infinite at t = 0"):
         main(argv + ["--t", "0.1", "--dt", "0.02", "--out", str(tmp_path / "run")])
     assert not (tmp_path / "run").exists()
+
+
+def test_negative_numbers_reach_the_command_without_equals(tmp_path):
+    argv = ["simulate", "--system", "bessel-b", "--nu", "1", "--beta", "-inf", "--n", "3", "--t", "0.1", "--dt", "0.05"]
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out", str(tmp_path / "b")])
+    assert str(err.value.code) == "simulate: regular case requires beta >= 1/2 and nu*beta >= 1/2"
+    argv = ["simulate", "--system", "bessel-ou", "--k", "1", "--lambda", "-1e-3", "--n", "3", "--t", "0.1", "--dt", "0.05"]
+    assert main(argv + ["--out", str(tmp_path / "ou")]) == 0
+    assert json.loads((tmp_path / "ou" / "manifest.json").read_text())["lambda"] == -1e-3
 
 
 def test_simulate_reports_record_spacing_and_diagnostics(tmp_path, capsys):

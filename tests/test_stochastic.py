@@ -260,35 +260,40 @@ def test_slot_rates_total_the_full_space_rates():
             v = rng.uniform(-3.0, 3.0, n)
             rho, sigma, _ = _slots(v)
             # one envelope node: the bounds are the rates at that state
-            flip, over_sum, over_diff = st._slot_bounds(rho[None, :], nu, np.empty((2, n, n)))
-            same = sigma[:, None] == sigma
-            upper = np.triu_indices(n, 1)
+            flip, _, over_sum, over_diff = st._slot_bounds(rho[None, :], nu)
+            iu, ju = st._pairs(n)
             slot = {
                 "flip": flip.sum(),
-                "sign_swap": np.where(same, over_sum, over_diff)[upper].sum(),
+                "sign_swap": np.where(sigma[iu] == sigma[ju], over_sum, over_diff).sum(),
             }
             full = {"flip": 0.0} | {k: r.sum() for k, r in st._jump_blocks(v, nu)}
             for kind, total in full.items():
                 assert slot[kind] == pytest.approx(total, rel=1e-12, abs=0.0)
-    st._check_bound(4.0, 4.0, 0.1)
+    st._check_bound(np.array([4.0]), np.array([4.0]), np.array([0.1]))
     with pytest.raises(RuntimeError, match="above its thinning bound"):
-        st._check_bound(4.0, 3.9, 0.1)
+        st._check_bound(np.array([1.0, 4.0]), np.array([2.0, 3.9]), np.array([0.05, 0.1]))
 
 
-def test_slot_bound_rows_follow_sign_changes():
+def test_sign_blind_slot_bound_dominates_both_rates():
     rng = np.random.default_rng(8)
     n = 9
-    rho = -np.sort(-rng.uniform(0.2, 3.0, (3, n)), axis=1)  # three envelope nodes
-    _, over_sum, over_diff = st._slot_bounds(rho, 1.0, np.empty((2, n, n)))
-    sigma = rng.choice([-1.0, 1.0], n)
-    w = np.where(sigma[:, None] == sigma, over_sum, over_diff)
-    row = w.sum(axis=1)
-    for c in rng.integers(0, n, 40):
-        sigma[c] = -sigma[c]
-        st._refresh_bounds(w, row, sigma, over_sum, over_diff, c)
-        fresh = np.where(sigma[:, None] == sigma, over_sum, over_diff)
-        assert np.array_equal(w, fresh)
-        assert row == pytest.approx(fresh.sum(axis=1), rel=1e-12, abs=0.0)
+    for _ in range(20):
+        rho = -np.sort(-rng.uniform(0.2, 3.0, (3, n)), axis=1)  # three envelope nodes
+        rho[1, 4] = rho[1, 5]  # a coincident pair and a zero magnitude at one node
+        rho[2, -1] = 0.0
+        rho = -np.sort(-rho, axis=1)
+        _, bound, over_sum, over_diff = st._slot_bounds(rho, 1.0)
+        iu, ju = st._pairs(n)
+        assert (over_diff == 0.0).any() and (over_sum > 0.0).all()
+        assert np.array_equal(bound, np.where(over_diff > 0.0, over_diff, over_sum))
+        # rates of either sign relation at interpolated points between the nodes
+        for s in rng.uniform(0.0, 1.0, 20):
+            j = rng.integers(0, 2)
+            r = (1.0 - s) * rho[j] + s * rho[j + 1]
+            same = 1.0 / (r[iu] + r[ju]) ** 2
+            assert np.all(same <= bound * (1.0 + 1e-12))
+            on = over_diff > 0.0
+            assert np.all(1.0 / (r[iu] - r[ju])[on] ** 2 <= bound[on] * (1.0 + 1e-12))
 
 
 def test_slot_moves_match_apply_reflection():
@@ -638,7 +643,7 @@ def test_floor_limited_record_step_takes_four_substeps():
 def test_frozen_dunkl_zero_start_rejected_quickly():
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match=r"nu/\(2x\^2\) is infinite at t = 0"):
-        simulate_dunkl_b(np.zeros(4), 1.0, math.inf, 0.1, 0.02, RngStream(1, 0))
+        simulate_dunkl_b(np.array([1.0, 0.0, 0.0, 3.0]), 1.0, math.inf, 0.1, 0.02, RngStream(1, 0))
     with pytest.raises(ValueError, match="infinite at t = 0"):
         simulate_dunkl_b(np.array([2.0, 0.0, -1.0]), 0.5, math.inf, 0.1, 0.02, RngStream(1, 0))
     assert time.perf_counter() - t0 < 1.0
@@ -648,6 +653,45 @@ def test_frozen_dunkl_zero_start_rejected_quickly():
         p = simulate_dunkl_b(np.zeros(4), 0.0, math.inf, 0.1, 0.02, RngStream(seed, 0))
         assert np.all(np.isfinite(p.states)) and np.count_nonzero(p.states[1:] == 0) == p.times.size - 1
         assert not np.signbit(p.states[p.states == 0]).any()
+
+
+@pytest.mark.parametrize("nu", [0.0, 1.0])
+def test_frozen_dunkl_zero_start_signs_are_uniform_at_every_dt(nu):
+    # every rate scales as 1/t, so at t > 0 the signs of the nonzero
+    # coordinates are fair coins: 5 at nu = 0 (the flow keeps one at 0), 6 at nu > 0
+    n, reps = 6, 500
+    coins = n - (nu == 0.0)
+    mean, var = coins / 2.0, coins / 4.0
+    m4 = var * (1.0 + 3.0 * (coins - 2) / 4.0)  # central fourth moment of Binomial(coins, 1/2)
+    for dt in (1.0, 0.1, 0.01):
+        neg = np.array(
+            [
+                np.count_nonzero(simulate_dunkl_b(np.zeros(n), nu, math.inf, 1.0, dt, RngStream(5, r)).states[-1] < 0)
+                for r in range(reps)
+            ]
+        )
+        assert abs(neg.mean() - mean) < 4.0 * math.sqrt(var / reps), (dt, neg.mean())
+        assert abs(neg.var(ddof=1) - var) < 4.0 * math.sqrt((m4 - var**2) / reps), (dt, neg.var(ddof=1))
+
+
+@pytest.mark.parametrize("x0, exact", [((2.0, 0.5), 0.0648), ((2.0, -0.5), 0.1362)])
+def test_frozen_dunkl_two_particle_swap_law_is_exact(x0, exact):
+    # N = 2, nu = 0: S = x1^2 + x2^2 = S0 + 4t, and the signed product P = x1 x2
+    # is constant, as a sign-swap keeps the sign relation; so swaps are Poisson
+    # at rate 1/(S + 2P) and the labels are exchanged at T with probability
+    # (1 - exp(-2 L))/2, L = (1/4) ln((S0 + 4T + 2P)/(S0 + 2P))
+    T, reps = 0.5, 10000
+    s0, p = x0[0] ** 2 + x0[1] ** 2, x0[0] * x0[1]
+    lam = 0.25 * math.log((s0 + 4.0 * T + 2.0 * p) / (s0 + 2.0 * p))
+    prob = 0.5 * (1.0 - math.exp(-2.0 * lam))
+    assert prob == pytest.approx(exact, abs=5e-5)
+    swapped = np.mean(
+        [
+            np.diff(np.abs(simulate_dunkl_b(np.array(x0), 0.0, math.inf, T, 0.05, RngStream(7, r)).states[-1]))[0] > 0
+            for r in range(reps)
+        ]
+    )
+    assert abs(swapped - prob) < 4.0 * math.sqrt(prob * (1.0 - prob) / reps)
 
 
 def test_jump_rates_at_opposite_and_zero_coordinates_do_not_warn():
