@@ -122,6 +122,8 @@ def _cmd_simulate(args):
     missing = [f"--{name}" for name in needed[args.system] if getattr(args, name) is None]
     if missing:
         raise ValueError(f"{args.system} needs {' and '.join(missing)}")
+    if args.replicas < 1:
+        raise ValueError(f"--replicas must be >= 1, got {args.replicas}")
     chamber = {"bessel-a": CHAMBER_A, "bessel-ou": CHAMBER_A, "bessel-b": CHAMBER_B, "dunkl-b": FULL_SPACE}
     x0 = _start(args, chamber[args.system])
     grid = _record_grid(args.t, args.dt)

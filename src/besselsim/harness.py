@@ -495,8 +495,17 @@ PRESETS = {
 }
 
 
+def _json_kind(value) -> str:
+    """The JSON type of a config value; an int and a float are both numbers."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return "number"
+    return {bool: "boolean", dict: "object", list: "array", str: "string"}.get(type(value), "null")
+
+
 def run_experiment(config: dict, out_dir=None) -> ExperimentReport:
     """Run a preset experiment (with config overrides) and optionally write reports."""
+    if not isinstance(config, dict):
+        raise ValueError(f"a config must be a JSON object, got a JSON {_json_kind(config)}")
     name = config.get("preset")
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
@@ -509,6 +518,9 @@ def run_experiment(config: dict, out_dir=None) -> ExperimentReport:
         )
     cfg = dict(defaults)
     cfg.update({k: v for k, v in config.items() if k != "preset"})
+    for key, value in cfg.items():
+        if _json_kind(value) != _json_kind(defaults[key]):
+            raise ValueError(f"config key {key!r} must be a JSON {_json_kind(defaults[key])}, got {value!r}")
     rows = runner(cfg)
     passed = all(r["passed"] for r in rows)
     blob = json.dumps({"preset": name, **cfg}, sort_keys=True, default=str).encode()

@@ -1,14 +1,14 @@
 """Monte Carlo integrators for the interacting-particle SDEs and jump dynamics.
 
-Bessel-type paths use Euler-Maruyama with gap-adaptive sub-stepping and
-exact local flows across the singular hyperplanes: any pair close enough
-that an Euler increment stops tracking its mutual repulsion is advanced
-by the closed-form gap flow instead (and likewise wall-adjacent type B
-coordinates), which preserves each interaction's exact second-moment
-production rate.  A sub-step works on raw sorted arrays and re-sorts the
-state onto the chamber (type B: of absolute values); the true processes
-never hit the walls, so this only corrects scheme overshoot, and the
-pre-projection violation is tracked with the sub-step and flow counts.
+Bessel-type paths use Euler-Maruyama at the record step with exact local
+flows across the singular hyperplanes: any pair close enough that an
+Euler increment stops tracking its mutual repulsion is advanced by the
+closed-form gap flow instead (and likewise wall-adjacent type B
+coordinates), and the drift leg is rescaled to add no Euler term |h b|^2,
+which keeps each interaction's exact second-moment production rate.  A
+sub-step re-sorts the state onto the chamber (type B: of absolute
+values); the true processes never hit the walls, so this only corrects
+scheme overshoot, and the pre-projection violation is tracked.
 
 The full-space jump dynamics of type B superpose reflection jumps on the
 type B drift.  At infinite inverse temperature the absolute values of the
@@ -68,13 +68,9 @@ _JUMP_COUNTERS = ("proposals", "flips", "sign_swaps")
 _BOUND_ROUNDING = 1e-9
 
 # Work counters of an Euler-Maruyama path, summed over transform-mode segments.
-_EM_COUNTERS = ("substeps", "floor_substeps", "pair_flows", "wall_flows", "clipped")
+_EM_COUNTERS = ("substeps", "pair_flows", "wall_flows", "clipped")
 # Drift corrections of a hot pair (i, j), interleaved as (i, j): -1/u and +1/u.
 _PAIR_SIGNS = np.array([-1.0, 1.0])
-# An Euler-Maruyama sub-step is never shorter than dt / _FLOOR_PARTS.  The weak
-# bias on E sum X^2 and the sixth moment reads the same at dt/8 and dt/4 at
-# N = 100 (tools/em_floor_bias.py), and dt/4 takes up to half the sub-steps.
-_FLOOR_PARTS = 4.0
 
 
 @dataclass(frozen=True)
@@ -115,8 +111,10 @@ class PathSample:
 
 
 def _record_grid(T: float, dt: float) -> np.ndarray:
-    if T < 0 or dt <= 0:
+    if not (T >= 0 and dt > 0):  # NaN fails here too
         raise ValueError(f"need T >= 0 and dt > 0, got T = {T:g}, dt = {dt:g}")
+    if not T / dt < math.inf or dt == math.inf:
+        raise ValueError(f"need finite T, dt and T/dt, got T = {T:g}, dt = {dt:g}")
     if T == 0:
         return np.array([0.0])
     n = max(1, int(round(T / dt)))
@@ -133,53 +131,46 @@ def _tamed_increment(drift_vec, h, cap):
     return np.clip(h * drift_vec, -cap, cap)
 
 
-def _em_path(x0, drift, coupling, chamber, T, dt, rng, nu=0.0):
+def _em_path(x0, x, t, drift, coupling, chamber, T, dt, rng, nu=0.0):
     """Euler-Maruyama with exact local flows across the singular hyperplanes.
 
-    The noise scale is 1/sqrt(coupling), for the coupling k (type A) or
-    beta (type B).  Sub-steps obey h <= gap^2 * min(1, coupling) with a
-    floor of dt/4 (``_FLOOR_PARTS``), where the gap is the smallest
-    adjacent gap (and, for type B with nu > 0, the distance to the wall).
+    Records ``x0`` at t = 0 and runs from ``_em_start``'s split ``x`` at
+    time ``t`` to T in sub-steps h = min(dt, time left).  The noise scale
+    is 1/sqrt(coupling), for the coupling k (type A) or beta (type B).
     Every pair closer than 4 sqrt(h) (the scale where an Euler increment
     stops tracking the singular repulsion) has its mutual flow
     du = 2/u dt applied exactly as u' = sqrt(u^2 + 4h), tightest pair first; a type B coordinate
     inside 4 sqrt(nu h) of the wall gets the exact wall flow x' = sqrt(x^2 + 2 nu h).  These maps
-    preserve each interaction term's exact second-moment production, they
-    bound the remaining Euler drift by sqrt(h)/4 per interaction, and
-    their deterministic gap expansion (u' >= 2 sqrt(h)) keeps the step
-    controller away from a collapse trap.  Coordinatewise taming remains
-    as a pure explosion guard and is inactive in all regular regimes.
+    preserve each interaction term's exact second-moment production and
+    bound the remaining Euler drift by sqrt(h)/4 per interaction.  The
+    drift leg y = x + disp becomes c + sqrt(1 - |disp|^2/|y - c|^2) (y - c),
+    c = mean(x) (type A, so sum x stays a martingale) or 0 (type B), and
+    adds 2 (x - c).disp, not |disp|^2, to |x - c|^2.  Coordinatewise
+    taming is a pure explosion guard, inactive in all regular regimes.
 
     Each sub-step works on raw sorted arrays: one pass of adjacent gaps
     gives the step gap and the taming cap, and the state re-sorts onto the
     chamber afterwards.  Diagnostics: worst pre-projection violation, the
-    smallest step gap, and counts of sub-steps, floor-limited sub-steps,
-    pair and wall flows, and clipped drift coordinates.
+    smallest step gap, and counts of sub-steps, pair and wall flows, and
+    clipped drift coordinates.
     """
     times = _record_grid(T, dt)
     sigma = 1.0 / math.sqrt(coupling)
-    gap_scale = min(1.0, coupling)
-    x, n = x0, x0.size  # never written in place: each sub-step makes a new array
+    n = x.size  # x is never written in place: each sub-step makes a new array
     states = np.empty((times.size, n))
-    states[0] = x
+    states[0] = x0
     wall = chamber == CHAMBER_B and nu > 0
-    h_floor = dt / _FLOOR_PARTS
     max_violation = 0.0
     min_gap = _gaps(x, wall)[1]
     count = dict.fromkeys(_EM_COUNTERS, 0)
     for idx in range(1, times.size):
-        t, t_target = times[idx - 1], times[idx]
+        t_target = times[idx]
         while t_target - t > 1e-12 * max(1.0, T):
             d, g = _gaps(x, wall)
             min_gap = min(min_gap, g)
-            h_gap = g * g * gap_scale
-            h = min(dt, t_target - t, max(h_gap, h_floor))
-            if h <= 0.0 or t + h == t:
-                raise IntegrationError("step size underflow", t, h)
+            h = min(dt, t_target - t)
             count["substeps"] += 1
-            count["floor_substeps"] += int(h_gap < h_floor)
-            noise_scale = sigma * math.sqrt(h)
-            root_h = math.sqrt(h)
+            noise_scale, root_h = sigma * math.sqrt(h), math.sqrt(h)
             b = drift(x)
             # A sorted type B state is inside the wall layer on a suffix.
             n_wall = int(np.count_nonzero(x < 4.0 * math.sqrt(nu * h))) if wall else 0
@@ -214,6 +205,11 @@ def _em_path(x0, drift, coupling, chamber, T, dt, rng, nu=0.0):
                 count["clipped"] += int(np.count_nonzero(inc != disp))
                 disp = inc
             x_raw = x + disp
+            center = x.mean() if chamber == CHAMBER_A else 0.0
+            v = x_raw - center
+            vv, dd = v @ v, disp @ disp
+            if vv > dd > 0.0:
+                x_raw = center + math.sqrt(1.0 - dd / vv) * v
             if ends or n_wall:
                 # Sequential on Python floats: overlapping pairs share particles,
                 # and the wall flow keeps the float power of the scalar loop.
@@ -240,7 +236,7 @@ def _em_path(x0, drift, coupling, chamber, T, dt, rng, nu=0.0):
                 raise ValueError("non-finite input coordinates")
             x = np.sort(y)[::-1]
             t += h
-        states[idx] = x
+        states[idx], t = x, t_target
     return times, states, {"max_violation": max_violation, "min_gap": min_gap, **count}
 
 
@@ -276,13 +272,13 @@ def simulate_bessel_b(x0, nu: float, beta: float, T: float, dt: float, stream: R
 
 def _em_sample(x0, drift, chamber, T, dt, stream, coupling, nu=0.0):
     """Seeded Euler-Maruyama path at coupling k (type A) or beta (type B)."""
-    x_start = _em_start(x0, chamber, nu, dt)
-    times, states, diag = _em_path(x_start, drift, coupling, chamber, T, dt, stream.generator(), nu)
+    start = _em_start(x0, chamber, nu, dt)
+    times, states, diag = _em_path(*start, drift, coupling, chamber, T, dt, stream.generator(), nu)
     return PathSample(chamber, times, states, stream.seed, stream.replica, diagnostics=diag)
 
 
 def _em_start(x0, chamber, nu, dt):
-    """Project the start and split boundary clusters at the dt scale.
+    """The projected start, its boundary clusters split at delta = min(dt, 1e-3), and delta (0 if none split).
 
     The scheme's pathwise error is O(sqrt(dt)) anyway, so the bootstrap
     horizon for stochastic runs is tied to dt rather than the much smaller
@@ -293,10 +289,12 @@ def _em_start(x0, chamber, nu, dt):
     delta = min(dt, 1e-3)
     x = point.coords
     if chamber != FULL_SPACE:
-        return _bootstrap_start(x, chamber, nu, delta)[1]
-    srt = np.argsort(np.abs(x))[::-1]
-    _, mags = _bootstrap_start(np.abs(x)[srt], CHAMBER_B, nu, delta)
-    return np.where(x[srt] < 0, -mags, mags)[np.argsort(srt)]
+        split, y = _bootstrap_start(x, chamber, nu, delta)
+    else:
+        srt = np.argsort(np.abs(x))[::-1]
+        split, mags = _bootstrap_start(np.abs(x)[srt], CHAMBER_B, nu, delta)
+        y = np.where(x[srt] < 0, -mags, mags)[np.argsort(srt)]
+    return x, y, delta if split else 0.0
 
 
 def simulate_bessel_ou(
@@ -321,6 +319,8 @@ def simulate_bessel_ou(
     """
     k = float(k)
     _check_a(k)
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam:g}")
     if mode not in ("direct", "transform"):
         raise ValueError("mode must be 'direct' or 'transform'")
     if -lam * T > 700.0:
@@ -328,19 +328,22 @@ def simulate_bessel_ou(
     if lam == 0.0:
         return simulate_bessel_a(x0, k, T, dt, stream)
     if math.isinf(k):
-        x, diag = x0, {"frozen": True}
+        diag = {"frozen": True}
         flow = lambda x, warped: solve_frozen("a", x, warped).states
     elif mode == "direct":
         return _em_sample(x0, lambda y: drift_a(y) - lam * y, CHAMBER_A, T, dt, stream, k)
     else:
-        x, rng = _em_start(x0, CHAMBER_A, 0.0, dt), stream.generator()
+        rng = stream.generator()
         diag = {"max_violation": 0.0, "min_gap": np.inf} | dict.fromkeys(_EM_COUNTERS, 0)
 
         def flow(x, warped):
+            # split within the first warped step, warped[1] (T = 0 has none)
+            x, y, t = _em_start(x, CHAMBER_A, 0.0, min(warped[1:2], default=dt))
             seg = [x]
             for w in np.diff(warped):
-                _, s, d = _em_path(seg[-1], drift_a, k, CHAMBER_A, w, w, rng)
-                seg.append(s[-1])
+                _, s, d = _em_path(y, y, t, drift_a, k, CHAMBER_A, w, w, rng)
+                y, t = s[-1], 0.0
+                seg.append(y)
                 diag["max_violation"] = max(diag["max_violation"], d["max_violation"])
                 diag["min_gap"] = min(diag["min_gap"], d["min_gap"])
                 for key in _EM_COUNTERS:
@@ -350,7 +353,7 @@ def simulate_bessel_ou(
     grid = _record_grid(T, dt)
     cuts = np.arange(2.0, abs(lam) * T, 2.0) / abs(lam)
     nodes = np.union1d(grid, cuts)
-    rows, a = [], 0
+    x, rows, a = x0, [], 0
     for b in [*nodes.searchsorted(cuts), nodes.size - 1]:
         span = nodes[a : b + 1] - nodes[a]
         # math.exp: np.exp is an ulp off at some nodes, which moves seeded paths
@@ -587,9 +590,10 @@ def simulate_dunkl_b(
     is refused at nu > 0.
     Finite beta uses operator splitting: Euler drift, diffusion with scale
     1/sqrt(beta), then first-event jumps with rates frozen at the window
-    start.  Its sub-steps obey h <= 0.25 gap^2 min(1, beta) with a floor of
-    dt/1000; ``diagnostics`` count the ``substeps``, the ``floor_substeps``
-    set by that floor, the ``flips`` and ``sign_swaps``, and give ``min_gap``.
+    start, and runs from ``_em_start``'s split time.  Its sub-steps obey
+    h <= 0.25 gap^2 min(1, beta) with a floor of dt/1000; ``diagnostics``
+    count the ``substeps``, the ``floor_substeps`` set by that floor, the
+    ``flips`` and ``sign_swaps``, and give ``min_gap``.
     Swaps x_i <-> x_j are not sampled: they only exchange labels, so the
     configuration's law is exact and output columns are labels up to swaps.
     """
@@ -633,16 +637,15 @@ def simulate_dunkl_b(
         )
 
     # Finite beta: operator splitting with Euler drift and diffusion legs.
-    x = _em_start(x0, FULL_SPACE, nu, dt)
+    x0, x, t = _em_start(x0, FULL_SPACE, nu, dt)
     sigma = 1.0 / math.sqrt(beta)
     wall = nu > 0
     h_floor = 1e-3 * dt
     jump_log = []
     states = np.empty((times.size, x.size))
-    states[0] = x
+    states[0] = x0
     min_gap = _gaps(np.sort(np.abs(x))[::-1], wall)[1]
     count = {"substeps": 0, "floor_substeps": 0, "flips": 0, "sign_swaps": 0}
-    t = 0.0
     for idx in range(1, times.size):
         t_target = times[idx]
         while t_target - t > 1e-12 * max(1.0, T):

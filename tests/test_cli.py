@@ -109,6 +109,48 @@ def test_simulate_rejects_bad_start_and_record(tmp_path, extra, message):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        (["--t", "inf"], "need finite T, dt and T/dt, got T = inf, dt = 0.1"),
+        (["--t", "1e300", "--dt", "1e-300"], "need finite T, dt and T/dt, got T = 1e\\+300, dt = 1e-300"),
+        (["--t", "nan"], "need T >= 0 and dt > 0, got T = nan, dt = 0.1"),
+        (["--dt", "nan"], "need T >= 0 and dt > 0, got T = 1, dt = nan"),
+        (["--dt", "inf"], "need finite T, dt and T/dt, got T = 1, dt = inf"),
+        (["--system", "bessel-ou", "--lambda", "nan"], "lam must be finite, got nan"),
+        (["--system", "bessel-ou", "--lambda", "inf"], "lam must be finite, got inf"),
+        (["--system", "bessel-ou", "--k", "inf", "--lambda", "nan"], "lam must be finite, got nan"),
+        (["--replicas", "0"], "--replicas must be >= 1, got 0"),
+    ],
+)
+def test_simulate_refuses_non_finite_times_and_lambda_and_no_replicas(tmp_path, extra, message):
+    argv = ["simulate", "--system", "bessel-a", "--k", "1", "--n", "3", "--t", "1", "--dt", "0.1"]
+    with pytest.raises(SystemExit) as err:
+        main(argv + extra + ["--out", str(tmp_path / "run")])
+    assert re.fullmatch("simulate: " + message, str(err.value.code))
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        ({"preset": "bessel-a-sde", "dt": "0.01"}, "config key 'dt' must be a JSON number, got '0.01'"),
+        ({"preset": "hermite-classical", "n_list": 50}, "config key 'n_list' must be a JSON array, got 50"),
+        ([{"preset": "hermite-classical"}], "a config must be a JSON object, got a JSON array"),
+    ],
+)
+def test_validate_refuses_mistyped_configs(tmp_path, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as err:
+        main(["validate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert str(err.value.code) == "validate: " + message
+    assert not (tmp_path / "out").exists()
+    # an int may stand for a float: both are JSON numbers
+    cfg.write_text(json.dumps({"preset": "hermite-classical", "n_list": [25], "default_threshold": 1}))
+    assert main(["validate", "--config", str(cfg)]) == 0
+
+
 def test_simulate_frozen_dunkl_zero_start_exits_with_message(tmp_path):
     # a start with some zero coordinates at nu > 0 (an all-zero start is valid)
     start = tmp_path / "x0.txt"

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import chndtr
 
 import besselsim.stochastic as st
 import warnings
@@ -135,6 +136,32 @@ def test_b_single_particle_second_moment_drift():
     assert abs(vals.mean() - expect) < 3 * vals.std() / math.sqrt(1500) + 0.02
 
 
+def _ks_statistic(cdf_values):
+    """Kolmogorov-Smirnov distance of a sample from its law, given the law's CDF at the sorted sample."""
+    n = cdf_values.size
+    return max((np.arange(1, n + 1) / n - cdf_values).max(), (cdf_values - np.arange(n) / n).max())
+
+
+@pytest.mark.parametrize("system", ["a", "b"])
+def test_squared_norm_follows_its_exact_noncentral_chi2_law(system):
+    # c |X_T|^2 / T is noncentral chi^2, c = k (type A) or beta (type B), with
+    # k N(N - 1) + N (A) or beta (2 N(N - 1) + 2 N nu) + N (B) degrees of freedom
+    # and noncentrality c |x0|^2 / T: c |X|^2 is a squared Bessel process
+    n, T, dt, reps = 8, 0.5, 0.01, 4000
+    x0 = 0.3 * np.random.default_rng(0).standard_normal(n)
+    if system == "a":
+        c, dof = 1.0, 1.0 * n * (n - 1) + n
+        run = lambda s: simulate_bessel_a(x0, c, T, dt, s)
+    else:
+        nu, c = 2.0, 1.0
+        dof = c * (2 * n * (n - 1) + 2 * n * nu) + n
+        run = lambda s: simulate_bessel_b(x0, nu, c, T, dt, s)
+    stat = np.array([c * np.sum(run(RngStream(41, r)).states[-1] ** 2) / T for r in range(reps)])
+    ks = _ks_statistic(chndtr(np.sort(stat), dof, c * (x0 @ x0) / T))
+    # 1.63 is the 1% point of the Kolmogorov law of sqrt(reps) KS
+    assert math.sqrt(reps) * ks < 1.63
+
+
 def test_b_empirical_first_moment_uses_shifted_nu():
     # finite-N squared-side first moment drifts at (N + nu + 1/(2 beta) - 1)/N
     n, nu, beta, t = 5, 2.0, 1.0, 0.4
@@ -213,16 +240,19 @@ def test_ou_frozen_path_past_the_float64_range_of_exp_2_lam_t():
 
 
 def test_ou_transform_without_restart_is_the_chained_lam_zero_path_bitwise():
-    # |lam| T = 2: no restart, so one warped grid carries the whole path
-    x0, k, lam, T, dt = np.linspace(2.0, -2.0, 6), 1.0, -1.0, 2.0, 0.02
+    # |lam| T = 2: no restart, so one warped grid carries the whole path; the
+    # coincident pair splits within the first warped step and runs from there
+    x0, k, lam, T, dt = np.array([2.0, 1.0, 0.0, 0.0, -1.0, -2.0]), 1.0, -1.0, 2.0, 0.02
     p = simulate_bessel_ou(x0, k, lam, T, dt, RngStream(8, 1), mode="transform")
     grid, rng = st._record_grid(T, dt), RngStream(8, 1).generator()
-    x = st._em_start(x0, CHAMBER_A, 0.0, dt)
-    states = [x]
+    warped = np.expm1(2 * lam * grid) / (2 * lam)
+    start, x, t = st._em_start(x0, CHAMBER_A, 0.0, warped[1])
+    assert 0.0 < t < warped[1] and np.array_equal(start, x0)
+    states = [start]
     diag = {"max_violation": 0.0, "min_gap": np.inf} | dict.fromkeys(st._EM_COUNTERS, 0)
-    for w in np.diff(np.expm1(2 * lam * grid) / (2 * lam)):
-        _, seg, d = st._em_path(x, drift_a, k, CHAMBER_A, w, w, rng)
-        x = seg[-1]
+    for w in np.diff(warped):
+        _, seg, d = st._em_path(x, x, t, drift_a, k, CHAMBER_A, w, w, rng)
+        x, t = seg[-1], 0.0
         states.append(x)
         diag["max_violation"] = max(diag["max_violation"], d["max_violation"])
         diag["min_gap"] = min(diag["min_gap"], d["min_gap"])
@@ -355,6 +385,17 @@ def test_dunkl_finite_beta_counters():
     assert q["floor_substeps"] >= 1 and q["min_gap"] == pytest.approx(1e-4)
 
 
+def test_dunkl_finite_beta_zero_start_runs_from_its_split_time():
+    # the split at t = 1e-3 is not recorded at t = 0: the path records the zero
+    # start there, jumps only after the split time and ends at T
+    for r in range(4):
+        p = simulate_dunkl_b(np.zeros(4), 1.0, 1.0, 0.05, 0.01, RngStream(14, r))
+        assert not p.states[0].any() and p.states[1:].all()
+        assert p.times[-1] == 0.05 and p.jump_log
+        assert min(t for t, _ in p.jump_log) > 1e-3
+        assert max(t for t, _ in p.jump_log) <= 0.05 + 1e-12
+
+
 def test_dunkl_frozen_even_moments_deterministic():
     x0 = np.linspace(5.0, 1.0, 12)
     vals = []
@@ -473,13 +514,15 @@ def test_dunkl_envelope_reuse_is_bitwise():
     assert warm[1].diagnostics == cold.diagnostics
 
 
-def _scalar_em_path(x0, drift, sigma, chamber, T, dt, rng, gap_scale, nu=0.0):
+def _scalar_em_path(x0, x, t0, drift, sigma, chamber, T, dt, rng, nu=0.0):
     """Reference copy of the scalar Euler-Maruyama sub-step loop.
 
-    Hot pairs come from a Python double loop and a stable sort by span,
-    every flow is applied one pair at a time on ndarray scalars, and every
-    sub-step projects through ``project_to_chamber``.  Counters are added
-    the way ``_em_path`` defines them.
+    Records x0 at t = 0 and runs from x at t0, in sub-steps of min(dt, time
+    left).  Hot pairs come from a Python double loop and a stable sort by
+    span, the drift leg is rescaled to |x - c|^2 + 2 (x - c).inc about its
+    center c, every flow is applied one pair at a time on ndarray scalars,
+    and every sub-step projects through ``project_to_chamber``.  Counters
+    are added the way ``_em_path`` defines them.
     """
     wall = chamber == CHAMBER_B and nu > 0
 
@@ -500,23 +543,17 @@ def _scalar_em_path(x0, drift, sigma, chamber, T, dt, rng, gap_scale, nu=0.0):
         return out
 
     times = st._record_grid(T, dt)
-    x = x0.copy()
+    x = x.copy()
     n = x.size
     states = np.empty((times.size, n))
-    states[0] = x
-    diag = dict(max_violation=0.0, min_gap=gap_of(x), substeps=0, floor_substeps=0,
-                pair_flows=0, wall_flows=0, clipped=0)
-    h_floor = dt / 4.0
+    states[0] = x0
+    diag = dict(max_violation=0.0, min_gap=gap_of(x), substeps=0, pair_flows=0, wall_flows=0, clipped=0)
     for idx in range(1, times.size):
-        t_target, t = times[idx], times[idx - 1]
+        t_target, t = times[idx], times[idx - 1] if idx > 1 else t0
         while t_target - t > 1e-12 * max(1.0, T):
-            g = gap_of(x)
-            diag["min_gap"] = min(diag["min_gap"], g)
-            h = min(dt, t_target - t, max(g * g * gap_scale, h_floor))
-            if h <= 0.0 or t + h == t:
-                raise IntegrationError("step size underflow", t, h)
+            diag["min_gap"] = min(diag["min_gap"], gap_of(x))
+            h = min(dt, t_target - t)
             diag["substeps"] += 1
-            diag["floor_substeps"] += int(g * g * gap_scale < h_floor)
             noise_scale, root_h = sigma * math.sqrt(h), math.sqrt(h)
             b = drift(x)
             wall_hot = []
@@ -536,6 +573,10 @@ def _scalar_em_path(x0, drift, sigma, chamber, T, dt, rng, gap_scale, nu=0.0):
             inc = np.clip(h * b, -cap, cap)
             diag["clipped"] += int(np.count_nonzero(inc != h * b))
             x_raw = x + inc
+            c = np.mean(x) if chamber == CHAMBER_A else 0.0
+            s2 = 1.0 - np.dot(inc, inc) / np.dot(x_raw - c, x_raw - c)
+            if 0.0 < s2 < 1.0:
+                x_raw = c + math.sqrt(s2) * (x_raw - c)
             for _, i, j in hot:
                 c = 0.5 * (x_raw[i] + x_raw[j])
                 u = x_raw[i] - x_raw[j]
@@ -568,31 +609,30 @@ def test_em_path_bitwise_equals_scalar_loop(case):
     if case == "a-zero-clustered":
         k, x0, T, dt = 0.5, np.zeros(40), 0.3, 0.005
         run = lambda s: simulate_bessel_a(x0, k, T, dt, s)
-        drift, sigma, scale = drift_a, 1 / math.sqrt(k), min(1.0, k)
+        drift, sigma = drift_a, 1 / math.sqrt(k)
     elif case == "b-wall":
         # Many short wall-heavy paths: the wall flow's float power differs
         # from v*v after the square root on about 1 in 4000 wall flows.
         nu, beta, x0, T, dt, chamber, replicas = 10.0, 2.0, np.zeros(10), 0.2, 0.1, CHAMBER_B, 160
         run = lambda s: simulate_bessel_b(x0, nu, beta, T, dt, s)
-        drift, sigma, scale = (lambda y: drift_b(y, nu)), 1 / math.sqrt(beta), min(1.0, beta)
+        drift, sigma = (lambda y: drift_b(y, nu)), 1 / math.sqrt(beta)
     elif case == "ou-direct":
         k, lam, x0, T, dt = 1.0, 0.7, np.linspace(2.0, -2.0, 12), 0.5, 0.005
         run = lambda s: simulate_bessel_ou(x0, k, lam, T, dt, s, mode="direct")
-        drift, sigma, scale = (lambda y: drift_a(y) - lam * y), 1 / math.sqrt(k), min(1.0, k)
+        drift, sigma = (lambda y: drift_a(y) - lam * y), 1 / math.sqrt(k)
     else:
-        # a particle beside a dense cluster: its residual drift exceeds the cap
-        k, T, dt = 100.0, 0.08, 0.08
+        # a particle beside a dense cluster just past the hot-pair span 4 sqrt(dt)
+        # = 0.4: its residual drift exceeds the cap
+        k, T, dt = 100.0, 0.08, 0.01
         x0 = np.concatenate([[0.0], -0.41 - 0.01 * np.arange(60)])
         run = lambda s: simulate_bessel_a(x0, k, T, dt, s)
-        drift, sigma, scale = drift_a, 1 / math.sqrt(k), min(1.0, k)
+        drift, sigma = drift_a, 1 / math.sqrt(k)
     start = st._em_start(x0, chamber, nu, dt)
     totals = dict.fromkeys(st._EM_COUNTERS, 0)
     for r in range(replicas):
         stream = RngStream(4242, r)
         path = run(stream)
-        states, diag = _scalar_em_path(
-            start, drift, sigma, chamber, T, dt, stream.generator(), scale, nu
-        )
+        states, diag = _scalar_em_path(*start, drift, sigma, chamber, T, dt, stream.generator(), nu)
         assert states.tobytes() == path.states.tobytes()
         assert diag == path.diagnostics
         for key in totals:
@@ -604,8 +644,7 @@ def test_em_path_bitwise_equals_scalar_loop(case):
 
 def test_em_counters_present_and_reproducible():
     x0 = np.zeros(12)
-    keys = {"max_violation", "min_gap", "substeps", "floor_substeps", "pair_flows",
-            "wall_flows", "clipped"}
+    keys = {"max_violation", "min_gap", "substeps", "pair_flows", "wall_flows", "clipped"}
     runs = [
         lambda s: simulate_bessel_a(x0, 0.5, 0.2, 0.01, s),
         lambda s: simulate_bessel_b(x0, 12.0, 0.5, 0.2, 0.01, s),
@@ -620,24 +659,34 @@ def test_em_counters_present_and_reproducible():
         assert first.diagnostics == again.diagnostics
         d = first.diagnostics
         assert all(type(d[key]) is int for key in st._EM_COUNTERS)
-        assert d["substeps"] >= 20 and 0 <= d["floor_substeps"] <= d["substeps"]
-    # transform mode sums its segments' counters: one segment per record step
-    # and one more per restart off the record grid
+        assert d["substeps"] >= first.times.size - 1 and d["pair_flows"] > 0
+    # transform mode sums its segments' counters: one segment of one sub-step
+    # per record step and one more per restart off the record grid
     p = simulate_bessel_ou(x0, 1.0, 0.7, 0.2, 0.01, RngStream(31, 2), mode="transform")
-    assert p.diagnostics["substeps"] >= p.times.size - 1
+    assert p.diagnostics["substeps"] == p.times.size - 1
     p = simulate_bessel_ou(x0, 1.0, 3.0, 2.0, 0.25, RngStream(31, 2), mode="transform")
-    assert p.diagnostics["substeps"] >= p.times.size - 1 + 2
+    assert p.diagnostics["substeps"] == p.times.size - 1 + 2
 
 
-def test_floor_limited_record_step_takes_four_substeps():
-    # every gap stays below the floor's, so each sub-step is dt/4 long
+def test_whole_record_steps_take_one_substep_each():
+    # h = min(dt, time left); a zero start is recorded at t = 0, split at
+    # t = 1e-3 and run over the rest of its first record step
+    za = starting_profile("zero", 50, SCALE_SQRT_N, CHAMBER_A)
+    zb = starting_profile("zero", 50, SCALE_SQRT_2N, CHAMBER_B)
     paths = [
-        simulate_bessel_a(starting_profile("zero", 50, SCALE_SQRT_N, CHAMBER_A), 0.5, 1.0, 1.0, RngStream(3, 0)),
-        simulate_bessel_b(starting_profile("zero", 50, SCALE_SQRT_2N, CHAMBER_B), 50.0, 0.5, 1.0, 1.0, RngStream(3, 0)),
+        simulate_bessel_a(za, 0.5, 1.0, 0.01, RngStream(3, 0)),
+        simulate_bessel_b(zb, 50.0, 0.5, 1.0, 0.01, RngStream(3, 0)),
+        simulate_bessel_ou(za, 1.0, 0.7, 1.0, 0.01, RngStream(3, 0), mode="direct"),
     ]
     for p in paths:
-        assert p.times.size == 2
-        assert p.diagnostics["substeps"] == p.diagnostics["floor_substeps"] == 4
+        assert p.times.size == 101 and p.diagnostics["substeps"] == p.times.size - 1
+        assert not p.states[0].any() and p.states[1].all()
+    # a start off the walls runs from t = 0, also at a step longer than the split time
+    p = simulate_bessel_a(np.linspace(2.0, -2.0, 6), 1.0, 0.3, 0.1, RngStream(3, 0))
+    assert p.diagnostics["substeps"] == 3
+    # a record step no whole multiple of dt ends in a shorter sub-step
+    p = simulate_bessel_a(np.linspace(2.0, -2.0, 6), 1.0, 1.0, 0.3, RngStream(3, 0))
+    assert p.times.size == 4 and p.diagnostics["substeps"] == 6
 
 
 def test_frozen_dunkl_zero_start_rejected_quickly():
@@ -710,13 +759,15 @@ def test_em_start_splits_full_space_magnitudes_and_keeps_signs():
     from besselsim.frozen import _bootstrap_start
 
     x0 = np.array([-1.0, 0.0, 1.0, 2.0, -0.5])
-    x = st._em_start(x0, FULL_SPACE, 1.0, 0.01)
+    start, x, t = st._em_start(x0, FULL_SPACE, 1.0, 0.01)
+    assert np.array_equal(start, x0) and t == 0.001
     nonzero = x0 != 0
     assert np.array_equal(np.sign(x[nonzero]), np.sign(x0[nonzero]))
     # the magnitudes are the type B split of the sorted magnitudes
     mags = _bootstrap_start(np.sort(np.abs(x0))[::-1], CHAMBER_B, 1.0, 0.001)[1]
     assert np.array_equal(np.sort(np.abs(x))[::-1], mags)
     assert np.all(np.diff(mags) < 0) and mags[-1] > 0
-    # a start off every hyperplane is returned as it is
+    # a start off every hyperplane runs as it is, from t = 0
     plain = np.array([0.3, -1.2, 2.0])
-    assert np.array_equal(st._em_start(plain, FULL_SPACE, 1.0, 0.01), plain)
+    start, x, t = st._em_start(plain, FULL_SPACE, 1.0, 0.01)
+    assert np.array_equal(start, plain) and np.array_equal(x, plain) and t == 0.0
