@@ -502,6 +502,15 @@ def _json_kind(value) -> str:
     return {bool: "boolean", dict: "object", list: "array", str: "string"}.get(type(value), "null")
 
 
+def _members(value):
+    """The elements of a JSON array, or the values of a JSON object."""
+    return value.values() if isinstance(value, dict) else value
+
+
+# Replica counts: every preset with ``replicas`` forms a ddof=1 standard error.
+_MIN_COUNTS = {"replicas": 2, "ks_replicas": 1}
+
+
 def run_experiment(config: dict, out_dir=None) -> ExperimentReport:
     """Run a preset experiment (with config overrides) and optionally write reports."""
     if not isinstance(config, dict):
@@ -519,8 +528,19 @@ def run_experiment(config: dict, out_dir=None) -> ExperimentReport:
     cfg = dict(defaults)
     cfg.update({k: v for k, v in config.items() if k != "preset"})
     for key, value in cfg.items():
-        if _json_kind(value) != _json_kind(defaults[key]):
-            raise ValueError(f"config key {key!r} must be a JSON {_json_kind(defaults[key])}, got {value!r}")
+        kind = _json_kind(defaults[key])
+        if _json_kind(value) != kind:
+            raise ValueError(f"config key {key!r} must be a JSON {kind}, got {value!r}")
+        if kind in ("array", "object"):
+            (inner,) = {_json_kind(v) for v in _members(defaults[key])}  # one kind per default
+            for v in _members(value):
+                if _json_kind(v) != inner:
+                    raise ValueError(f"config key {key!r} must hold JSON {inner}s, got {v!r}")
+    for key, low in _MIN_COUNTS.items():
+        if key in cfg:
+            if not (cfg[key] >= low and float(cfg[key]).is_integer()):
+                raise ValueError(f"config key {key!r} must be a whole number >= {low}, got {cfg[key]!r}")
+            cfg[key] = int(cfg[key])
     rows = runner(cfg)
     passed = all(r["passed"] for r in rows)
     blob = json.dumps({"preset": name, **cfg}, sort_keys=True, default=str).encode()

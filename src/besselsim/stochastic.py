@@ -19,10 +19,12 @@ and replicas, and keeps even power sums bit-identical across seeds.  Its
 jumps are sampled exactly in slot space (the envelope's sorted
 magnitudes, one sign per slot and a label map) by Lewis-Shedler thinning
 against rate bounds that hold over each record interval, because the
-envelope is linear between its nodes, and whatever the signs, so each
-interval's proposals are drawn in one batch; a pass in time order accepts
-each with the exact rate its current signs give its reflection at the
-interpolated envelope.  At finite
+envelope is linear between its nodes, and whatever the signs.  The bounds
+depend on the envelope alone, so their tables are built once per envelope
+and record grid for every replica; a path draws its proposals interval by
+interval, tests them together, and a pass in time order accepts each with
+the exact rate its current signs give its reflection at the interpolated
+envelope.  At finite
 beta, operator splitting (drift, diffusion, jumps) is used, with
 first-event jumps whose rates are frozen at the window start and
 refreshed at every event and at least once per step.
@@ -66,6 +68,9 @@ _JUMP_COUNTERS = ("proposals", "flips", "sign_swaps")
 # down to rounding: rates and bounds come from the same envelope nodes, the
 # difference bounds through a cumulative sum of gap minima.
 _BOUND_ROUNDING = 1e-9
+# Frozen Dunkl proposals tested together: a whole path's (a few thousand at
+# N = 150), unless near-coincident magnitudes make millions of them.
+_PROPOSAL_BATCH = 1 << 14
 
 # Work counters of an Euler-Maruyama path, summed over transform-mode segments.
 _EM_COUNTERS = ("substeps", "pair_flows", "wall_flows", "clipped")
@@ -429,6 +434,30 @@ def _next_jump(v, nu, rng, window):
     raise AssertionError("unreachable jump category")
 
 
+@functools.lru_cache(maxsize=8)
+def _slot_ends(n):
+    """Read-only slot ends (a, b) of every reflection: the n flips (b = -1), then the pairs of ``_pairs``."""
+    iu, ju = _pairs(n)
+    a, b = np.concatenate((np.arange(n), iu)), np.concatenate((np.full(n, -1), ju))
+    a.flags.writeable = False
+    b.flags.writeable = False
+    return a, b
+
+
+def _reflection_bounds(ma, mb, da, db, flips, nu):
+    """Sign-blind thinning bounds of reflections from the slot minima at their ends (see ``_slot_bounds``).
+
+    A sign-swap of slots a < b has ``over_sum`` = 1/(m_a + m_b)^2 and
+    ``over_diff`` = 1/(d_b - d_a)^2, each 0 where its distance is within
+    the exclusion threshold; a flip of slot a (``flips``) has nu/(2 m_a^2)
+    as both.  Returns the bounds max(over_sum, over_diff), ``over_sum`` and
+    ``over_diff``.
+    """
+    over_sum = np.where(flips, 0.5 * nu, 1.0) * _excluded_inverse_square(np.where(flips, ma, ma + mb))
+    over_diff = np.where(flips, over_sum, _excluded_inverse_square(db - da))
+    return np.maximum(over_sum, over_diff), over_sum, over_diff
+
+
 def _slot_bounds(rho, nu):
     """Jump-rate bounds in slot space over envelope nodes ``rho`` (rows: times).
 
@@ -439,19 +468,38 @@ def _slot_bounds(rho, nu):
     magnitude differences, rho_a - rho_b >= d_b - d_a for a < b.  The
     sign-swap of slots a < b runs at rate 1/(rho_a + rho_b)^2 when their
     signs are equal and at 1/(rho_a - rho_b)^2 when they are opposite, with
-    the bounds 1/(m_a + m_b)^2 (``over_sum``) and 1/(d_b - d_a)^2
-    (``over_diff``) over the pairs of ``_pairs``; a bound whose distance is
-    within the exclusion threshold is 0.  As m_a + m_b >= d_b - d_a, the
-    sign-blind bound max(over_sum, over_diff) dominates either rate and is
-    ``over_diff`` wherever that is not excluded.  Returns the flip bounds
-    nu/(2 m_a^2), the sign-blind pair bounds, ``over_sum`` and ``over_diff``.
+    the bounds ``over_sum`` and ``over_diff`` of ``_reflection_bounds``.  As
+    m_a + m_b >= d_b - d_a, the sign-blind bound max(over_sum, over_diff)
+    dominates either rate and is ``over_diff`` wherever that is not
+    excluded.  Returns m, d, and the sign-blind bounds, ``over_sum`` and
+    ``over_diff`` of every reflection in the order of ``_slot_ends``.
     """
     m = rho.min(axis=0)
     d = np.concatenate(([0.0], np.cumsum((rho[:, :-1] - rho[:, 1:]).min(axis=0))))
-    iu, ju = _pairs(m.size)
-    over_sum = _excluded_inverse_square(m[iu] + m[ju])
-    over_diff = _excluded_inverse_square(d[ju] - d[iu])
-    return 0.5 * nu * _excluded_inverse_square(m), np.maximum(over_sum, over_diff), over_sum, over_diff
+    a, b = _slot_ends(m.size)
+    return m, d, *_reflection_bounds(m[a], m[b], d[a], d[b], b < 0, nu)
+
+
+def _thinning_tables(rho, rec, nu):
+    """What every path over the envelope ``rho`` draws its thinning proposals from.
+
+    Per record interval (envelope rows ``rec[i]`` to ``rec[i + 1]``): the
+    cumulative sign-blind bound and the index of its last positive entry;
+    and the interval's slot minima m and d as rows of two arrays, from
+    which a proposal's bounds are recomputed, so that only the cumulative
+    bound is kept at pair size.  Returns ``rec``, the (cum, last) pairs, m
+    and d.
+    """
+    cums, m, d = [], [], []
+    for j0, j1 in zip(rec[:-1], rec[1:]):
+        m_i, d_i, bound, _, _ = _slot_bounds(rho[j0 : j1 + 1], nu)
+        cum = np.cumsum(bound)
+        # a draw rounded up to the total falls on the last positive bound
+        cums.append((cum, int(cum.searchsorted(cum[-1]))))
+        m.append(m_i)
+        d.append(d_i)
+    n = rho.shape[1]
+    return rec, cums, np.reshape(m, (-1, n)), np.reshape(d, (-1, n))
 
 
 def _slot_move(sigma, labels, a, b=None):
@@ -472,92 +520,97 @@ def _check_bound(rate, bound, t):
         raise RuntimeError(f"jump rate {rate[i]:.6g} above its thinning bound {bound[i]:.6g} at t={t[i]:.6g}")
 
 
-def _proposals(nodes, g, nu, ends, rng):
-    """One record interval's thinning proposals (Lewis and Shedler, Naval Res. Logist. Q. 26, 1979).
-
-    The sign-blind bounds of ``_slot_bounds`` over ``nodes`` (at times
-    ``g``) hold whatever the signs, so a Poisson count of sorted uniform
-    times and of jumps (slot ``ends``, second end -1 for a flip) picked by
-    bound is drawn at once, and tested at the interpolated envelope against
-    both rates a sign-swap can have.  Returns the count and, for those
-    accepted at some sign relation: times, ends, and the verdicts at equal
-    and at opposite signs.
-    """
-    flip, pair, over_sum, over_diff = _slot_bounds(nodes, nu)
-    bound = np.concatenate((flip, pair))
-    cum = np.cumsum(bound)
-    k = int(rng.poisson(cum[-1] * (g[-1] - g[0])))
-    if k == 0:
-        return 0, []
-    u = rng.random((3, k))
-    t = g[0] + (g[-1] - g[0]) * np.sort(u[0])
-    # a draw rounded up to the total falls on the last positive bound
-    pick = np.minimum(cum.searchsorted(u[1] * cum[-1], "right"), cum.searchsorted(cum[-1]))
-    a, b, w = ends[0][pick], ends[1][pick], bound[pick]
-    j = np.minimum(g.searchsorted(t, "right") - 1, g.size - 2)
-    s = (t - g[j]) / (g[j + 1] - g[j])
-    ra = (1.0 - s) * nodes[j, a] + s * nodes[j + 1, a]
-    rb = (1.0 - s) * nodes[j, b] + s * nodes[j + 1, b]
-    # a flip has one rate; an excluded reflection has rate 0 (its distance may be 0)
-    flips = b < 0
-    scale = np.where(flips, 0.5 * nu, 1.0)
-    on = [np.concatenate((flip, over))[pick] > 0.0 for over in (over_sum, over_diff)]
-    same = np.divide(scale, np.where(flips, ra, ra + rb) ** 2, out=np.zeros(k), where=on[0])
-    opp = np.divide(scale, np.where(flips, ra, ra - rb) ** 2, out=np.zeros(k), where=on[1])
-    _check_bound(np.maximum(same, opp), w, t)
-    w *= u[2]
-    same_ok, opp_ok = w < same, w < opp
-    live = np.flatnonzero(same_ok | opp_ok)
-    return k, [x[live].tolist() for x in (t, a, b, same_ok, opp_ok)]
-
-
-def _slot_jump_path(rho, grid, times, labels, sigma, nu, rng):
+def _slot_jump_path(rho, grid, tables, labels, sigma, nu, rng):
     """Frozen Dunkl jumps over the envelope ``rho`` on ``grid``, by exact thinning.
 
-    The state lives in slot space: the envelope's sorted magnitudes, one
-    sign per slot (``sigma``) and the label held by each slot (``labels``),
-    both updated in place.  Each record interval's proposals come in one
-    batch from ``_proposals``; a pass in time order accepts each by its
-    current signs.  Returns the signed states at ``times``, the jump log
-    and the jump counters.
+    Lewis and Shedler (Naval Res. Logist. Q. 26, 1979) thinning in slot
+    space: the state is the envelope's sorted magnitudes, one sign per slot
+    (``sigma``) and the label held by each slot (``labels``).  The
+    sign-blind bounds of ``_thinning_tables`` hold whatever the signs, so
+    each record interval draws a Poisson count of sorted uniform times and
+    of reflections (slot ends a, b; b = -1 for a flip) picked by bound.
+    The path's proposals are then tested together, at the interpolated
+    envelope, against both rates a sign-swap can have, and a pass in time
+    order accepts each by its current signs.  Returns the signed states at
+    the record times, the jump log and the jump counters.
     """
+    rec, cums, m, d = tables
     n = labels.size
-    iu, ju = _pairs(n)
-    ends = np.concatenate((np.arange(n), iu)), np.concatenate((np.full(n, -1), ju))
-    rec = np.searchsorted(grid, times)
-    states = np.empty((times.size, n))
+    states = np.empty((rec.size, n))
     states[0, labels] = sigma * rho[rec[0]] + 0.0  # a zero magnitude is 0, not -0
+    sigma, labels = sigma.tolist(), labels.tolist()
     jump_log = []
     counts = dict.fromkeys(_JUMP_COUNTERS, 0)
-    for idx in range(1, times.size):
-        j0, j1 = int(rec[idx - 1]), int(rec[idx])
-        k, batch = _proposals(rho[j0 : j1 + 1], grid[j0 : j1 + 1], nu, ends, rng)
-        counts["proposals"] += k
-        for t, a, b, by_sum, by_diff in zip(*batch):
-            if b < 0:
-                kind, refl, b = "flip", (int(labels[a]),), None
-            elif by_sum if sigma[a] == sigma[b] else by_diff:
-                kind, refl = "sign_swap", sorted((int(labels[a]), int(labels[b])))
+    row = 1  # the first record row not yet written
+
+    def record(upto):
+        """Write the current state to the record rows from ``row`` to ``upto``."""
+        nonlocal row
+        states[row : upto + 1, labels] = np.multiply(sigma, rho[rec[row : upto + 1]]) + 0.0
+        row = upto + 1
+
+    def thin(t, pick, w_unit, iv):
+        """Test proposals at times ``t`` in record intervals ``iv`` together, then accept them in time order."""
+        a, b = (ends[pick] for ends in _slot_ends(n))
+        j = np.minimum(grid.searchsorted(t, "right") - 1, rec[iv + 1] - 1)
+        s = (t - grid[j]) / (grid[j + 1] - grid[j])
+        ra = (1.0 - s) * rho[j, a] + s * rho[j + 1, a]
+        rb = (1.0 - s) * rho[j, b] + s * rho[j + 1, b]
+        # a flip has one rate; an excluded reflection has rate 0 (its distance may be 0)
+        flips = b < 0
+        w, over_sum, over_diff = _reflection_bounds(m[iv, a], m[iv, b], d[iv, a], d[iv, b], flips, nu)
+        scale = np.where(flips, 0.5 * nu, 1.0)
+        same = np.divide(scale, np.where(flips, ra, ra + rb) ** 2, out=np.zeros(t.size), where=over_sum > 0.0)
+        opp = np.divide(scale, np.where(flips, ra, ra - rb) ** 2, out=np.zeros(t.size), where=over_diff > 0.0)
+        _check_bound(np.maximum(same, opp), w, t)
+        w *= w_unit
+        same_ok, opp_ok = w < same, w < opp
+        live = np.flatnonzero(same_ok | opp_ok)
+        for i, tj, x, y, by_sum, by_diff in zip(*(v[live].tolist() for v in (iv, t, a, b, same_ok, opp_ok))):
+            if y < 0:
+                kind, refl, y = "flip", (labels[x],), None
+            elif by_sum if sigma[x] == sigma[y] else by_diff:
+                kind, refl = "sign_swap", sorted((labels[x], labels[y]))
             else:
                 continue
-            jump_log.append((t, Reflection(kind, *refl)))
+            if i >= row:
+                record(i)
+            jump_log.append((tj, Reflection(kind, *refl)))
             counts[kind + "s"] += 1
-            _slot_move(sigma, labels, a, b)
-        states[idx, labels] = sigma * rho[j1] + 0.0
+            _slot_move(sigma, labels, x, y)
+
+    drawn, size = [], 0
+    for i, ((cum, last), j0, j1) in enumerate(zip(cums, rec[:-1], rec[1:])):
+        g0, g1 = grid[j0], grid[j1]
+        k = int(rng.poisson(cum[-1] * (g1 - g0)))
+        counts["proposals"] += k
+        if k:
+            u = rng.random((3, k))
+            pick = np.minimum(cum.searchsorted(u[1] * cum[-1], "right"), last)
+            drawn.append((g0 + (g1 - g0) * np.sort(u[0]), pick, u[2], np.full(k, i)))
+            size += k
+        if drawn and (size >= _PROPOSAL_BATCH or i == len(cums) - 1):
+            batch = [np.concatenate(x) for x in zip(*drawn)]
+            for lo in range(0, size, _PROPOSAL_BATCH):
+                thin(*(x[lo : lo + _PROPOSAL_BATCH] for x in batch))
+            drawn, size = [], 0
+    record(len(cums))
     return states, jump_log, counts
 
 
 @functools.lru_cache(maxsize=1)
 def _dunkl_envelope(mags: bytes, nu: float, grid: bytes):
-    """Frozen type B flow of the sorted magnitudes ``mags`` over ``grid``.
+    """Frozen type B flow of the sorted magnitudes ``mags`` over ``grid``, and a memo for its thinning tables.
 
     Keyed on the exact float64 bytes of both arrays, so any change to an
     input is a miss.  Every caller loops over replicas with one start, so
     one entry suffices; the states are read-only because hits share them.
+    The memo maps the bytes of a record grid to its ``_thinning_tables``,
+    and goes with the envelope when the next start replaces it.
     """
     env = solve_frozen("b", np.frombuffer(mags), np.frombuffer(grid), nu=nu)
     env.states.flags.writeable = False
-    return env
+    return env, {}
 
 
 def simulate_dunkl_b(
@@ -581,8 +634,10 @@ def simulate_dunkl_b(
     the Dormand-Prince continuous extension, so the grid's nodes cost no
     steps.  The jumps are sampled exactly for the linearly interpolated envelope, by
     thinning in slot space against sign-blind bounds (``_slot_jump_path``);
-    ``diagnostics`` count the ``proposals`` and the accepted ``flips`` and
-    ``sign_swaps``.  A reflection within the exclusion threshold of its
+    the bound tables of each record interval are built with the envelope's
+    first path on a record grid and reused by the others, so a path only
+    draws and tests its proposals.  ``diagnostics`` count the
+    ``proposals`` and the accepted ``flips`` and ``sign_swaps``.  A reflection within the exclusion threshold of its
     hyperplane anywhere in a record interval stays off for that interval, so
     a nu = 0 start with zero or coincident magnitudes is valid.  From an
     all-zero start every rate scales as 1/t, so the signs and labels are
@@ -613,13 +668,17 @@ def simulate_dunkl_b(
         n_fine = max(times.size - 1, min(4096, max(256, int(round(T / dt)))))
         env_grid = np.union1d(times, np.linspace(0.0, T, n_fine + 1))
         labels = np.argsort(np.abs(x0))[::-1]
-        env = _dunkl_envelope(np.abs(x0)[labels].tobytes(), float(nu), env_grid.tobytes())
+        env, memo = _dunkl_envelope(np.abs(x0)[labels].tobytes(), float(nu), env_grid.tobytes())
+        key = times.tobytes()
+        if key not in memo:
+            memo.clear()  # one record grid at a time: about 4.5 MB at N = 150, T/dt = 50
+            memo[key] = _thinning_tables(env.states, env_grid.searchsorted(times), nu)
         sigma = np.where(x0[labels] < 0, -1.0, 1.0)
         if zero_start:
             # every rate scales as 1/t, so at any t > 0 the signs are uniform
             # and the labels a uniform permutation
             labels, sigma = rng.permutation(x0.size), rng.choice([-1.0, 1.0], x0.size)
-        states, jump_log, counts = _slot_jump_path(env.states, env_grid, times, labels, sigma, nu, rng)
+        states, jump_log, counts = _slot_jump_path(env.states, env_grid, memo[key], labels, sigma, nu, rng)
         return PathSample(
             FULL_SPACE,
             times,

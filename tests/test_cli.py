@@ -137,6 +137,11 @@ def test_simulate_refuses_non_finite_times_and_lambda_and_no_replicas(tmp_path, 
         ({"preset": "bessel-a-sde", "dt": "0.01"}, "config key 'dt' must be a JSON number, got '0.01'"),
         ({"preset": "hermite-classical", "n_list": 50}, "config key 'n_list' must be a JSON array, got 50"),
         ([{"preset": "hermite-classical"}], "a config must be a JSON object, got a JSON array"),
+        ({"preset": "hermite-classical", "n_list": ["25"]}, "config key 'n_list' must hold JSON numbers, got '25'"),
+        (
+            {"preset": "hermite-classical", "thresholds": {"25": "0.1"}},
+            "config key 'thresholds' must hold JSON numbers, got '0.1'",
+        ),
     ],
 )
 def test_validate_refuses_mistyped_configs(tmp_path, config, message):
@@ -149,6 +154,27 @@ def test_validate_refuses_mistyped_configs(tmp_path, config, message):
     # an int may stand for a float: both are JSON numbers
     cfg.write_text(json.dumps({"preset": "hermite-classical", "n_list": [25], "default_threshold": 1}))
     assert main(["validate", "--config", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"preset": "bessel-a-sde", "replicas": 0},
+        {"preset": "bessel-a-sde", "replicas": 1},
+        {"preset": "bessel-a-sde", "replicas": -3},
+        {"preset": "bessel-a-sde", "replicas": 2.5},
+        {"preset": "dunkl-quartercircle", "ks_replicas": 0},
+    ],
+)
+def test_validate_refuses_bad_replica_counts(tmp_path, override):
+    key, value = list(override.items())[1]
+    low = 2 if key == "replicas" else 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**override, "k_list": [4.0], "n": 10} if key == "replicas" else override))
+    with pytest.raises(SystemExit) as err:
+        main(["validate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert str(err.value.code) == f"validate: config key {key!r} must be a whole number >= {low}, got {value!r}"
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_frozen_dunkl_zero_start_exits_with_message(tmp_path):

@@ -163,6 +163,32 @@ def test_unknown_config_keys_rejected(extra):
     assert "'t_list'" not in str(err.value).split(";")[0]
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"n_list": ["25"]}, "config key 'n_list' must hold JSON numbers, got '25'"),
+        ({"thresholds": {"25": "0.1"}}, "config key 'thresholds' must hold JSON numbers, got '0.1'"),
+    ],
+)
+def test_nested_config_values_are_type_checked(extra, message):
+    with pytest.raises(ValueError) as err:
+        run_experiment({"preset": "hermite-classical", **extra})
+    assert str(err.value) == message
+
+
+def test_replica_counts_are_whole_and_large_enough():
+    base = {"preset": "bessel-a-sde", "k_list": [4.0], "n": 4, "t": 0.1, "dt": 0.05, "order": 2}
+    for bad in (0, 1, -3, 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^config key 'replicas' must be a whole number >= 2, got "):
+            run_experiment({**base, "replicas": bad})
+    with pytest.raises(ValueError, match=r"^config key 'ks_replicas' must be a whole number >= 1, got 0$"):
+        run_experiment({"preset": "dunkl-quartercircle", "ks_replicas": 0})
+    # a whole float counts as the integer it names
+    report = run_experiment({**base, "replicas": 2.0})
+    assert report.config["replicas"] == 2 and type(report.config["replicas"]) is int
+    assert all(math.isfinite(r["stderr"]) for r in report.rows)
+
+
 def test_readme_validate_example_runs():
     # the JSON block after "A `validate` config is JSON" in the README
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

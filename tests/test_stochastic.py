@@ -290,11 +290,11 @@ def test_slot_rates_total_the_full_space_rates():
             v = rng.uniform(-3.0, 3.0, n)
             rho, sigma, _ = _slots(v)
             # one envelope node: the bounds are the rates at that state
-            flip, _, over_sum, over_diff = st._slot_bounds(rho[None, :], nu)
+            _, _, _, over_sum, over_diff = st._slot_bounds(rho[None, :], nu)
             iu, ju = st._pairs(n)
             slot = {
-                "flip": flip.sum(),
-                "sign_swap": np.where(sigma[iu] == sigma[ju], over_sum, over_diff).sum(),
+                "flip": over_sum[:n].sum(),
+                "sign_swap": np.where(sigma[iu] == sigma[ju], over_sum[n:], over_diff[n:]).sum(),
             }
             full = {"flip": 0.0} | {k: r.sum() for k, r in st._jump_blocks(v, nu)}
             for kind, total in full.items():
@@ -312,7 +312,8 @@ def test_sign_blind_slot_bound_dominates_both_rates():
         rho[1, 4] = rho[1, 5]  # a coincident pair and a zero magnitude at one node
         rho[2, -1] = 0.0
         rho = -np.sort(-rho, axis=1)
-        _, bound, over_sum, over_diff = st._slot_bounds(rho, 1.0)
+        _, _, bound, over_sum, over_diff = st._slot_bounds(rho, 1.0)
+        bound, over_sum, over_diff = bound[n:], over_sum[n:], over_diff[n:]
         iu, ju = st._pairs(n)
         assert (over_diff == 0.0).any() and (over_sum > 0.0).all()
         assert np.array_equal(bound, np.where(over_diff > 0.0, over_diff, over_sum))
@@ -513,6 +514,153 @@ def test_dunkl_envelope_reuse_is_bitwise():
     assert warm[1].jump_log == cold.jump_log
     assert warm[1].diagnostics == cold.diagnostics
 
+
+def _reference_slot_bounds(rho, nu):
+    """Reference copy of the per-interval bounds: flip bounds, sign-blind pair bounds, over_sum, over_diff."""
+    m = rho.min(axis=0)
+    d = np.concatenate(([0.0], np.cumsum((rho[:, :-1] - rho[:, 1:]).min(axis=0))))
+    iu, ju = st._pairs(m.size)
+    over_sum = st._excluded_inverse_square(m[iu] + m[ju])
+    over_diff = st._excluded_inverse_square(d[ju] - d[iu])
+    return 0.5 * nu * st._excluded_inverse_square(m), np.maximum(over_sum, over_diff), over_sum, over_diff
+
+
+def _reference_proposals(nodes, g, nu, ends, rng):
+    """Reference copy of the per-interval sampler: bounds, draws, tests and survivors of one record interval."""
+    flip, pair, over_sum, over_diff = _reference_slot_bounds(nodes, nu)
+    bound = np.concatenate((flip, pair))
+    cum = np.cumsum(bound)
+    k = int(rng.poisson(cum[-1] * (g[-1] - g[0])))
+    if k == 0:
+        return 0, []
+    u = rng.random((3, k))
+    t = g[0] + (g[-1] - g[0]) * np.sort(u[0])
+    pick = np.minimum(cum.searchsorted(u[1] * cum[-1], "right"), cum.searchsorted(cum[-1]))
+    a, b, w = ends[0][pick], ends[1][pick], bound[pick]
+    j = np.minimum(g.searchsorted(t, "right") - 1, g.size - 2)
+    s = (t - g[j]) / (g[j + 1] - g[j])
+    ra = (1.0 - s) * nodes[j, a] + s * nodes[j + 1, a]
+    rb = (1.0 - s) * nodes[j, b] + s * nodes[j + 1, b]
+    flips = b < 0
+    scale = np.where(flips, 0.5 * nu, 1.0)
+    on = [np.concatenate((flip, over))[pick] > 0.0 for over in (over_sum, over_diff)]
+    same = np.divide(scale, np.where(flips, ra, ra + rb) ** 2, out=np.zeros(k), where=on[0])
+    opp = np.divide(scale, np.where(flips, ra, ra - rb) ** 2, out=np.zeros(k), where=on[1])
+    st._check_bound(np.maximum(same, opp), w, t)
+    w *= u[2]
+    same_ok, opp_ok = w < same, w < opp
+    live = np.flatnonzero(same_ok | opp_ok)
+    return k, [x[live].tolist() for x in (t, a, b, same_ok, opp_ok)]
+
+
+def _reference_frozen_dunkl(x0, nu, T, dt, stream):
+    """Reference copy of the frozen Dunkl path, drawing and testing each record interval's proposals in turn."""
+    rng = stream.generator()
+    times = st._record_grid(T, dt)
+    n_fine = max(times.size - 1, min(4096, max(256, int(round(T / dt)))))
+    grid = np.union1d(times, np.linspace(0.0, T, n_fine + 1))
+    labels = np.argsort(np.abs(x0))[::-1]
+    rho = solve_frozen("b", np.abs(x0)[labels], grid, nu=nu).states
+    sigma = np.where(x0[labels] < 0, -1.0, 1.0)
+    if not x0.any():
+        labels, sigma = rng.permutation(x0.size), rng.choice([-1.0, 1.0], x0.size)
+    n = labels.size
+    iu, ju = st._pairs(n)
+    ends = np.concatenate((np.arange(n), iu)), np.concatenate((np.full(n, -1), ju))
+    rec = np.searchsorted(grid, times)
+    states = np.empty((times.size, n))
+    states[0, labels] = sigma * rho[rec[0]] + 0.0
+    jump_log = []
+    counts = dict.fromkeys(st._JUMP_COUNTERS, 0)
+    for idx in range(1, times.size):
+        j0, j1 = int(rec[idx - 1]), int(rec[idx])
+        k, batch = _reference_proposals(rho[j0 : j1 + 1], grid[j0 : j1 + 1], nu, ends, rng)
+        counts["proposals"] += k
+        for t, a, b, by_sum, by_diff in zip(*batch):
+            if b < 0:
+                kind, refl, b = "flip", (int(labels[a]),), None
+            elif by_sum if sigma[a] == sigma[b] else by_diff:
+                kind, refl = "sign_swap", sorted((int(labels[a]), int(labels[b])))
+            else:
+                continue
+            jump_log.append((t, Reflection(kind, *refl)))
+            counts[kind + "s"] += 1
+            st._slot_move(sigma, labels, a, b)
+        states[idx, labels] = sigma * rho[j1] + 0.0
+    return states, jump_log, counts
+
+
+def _oracle_starts():
+    rng = np.random.default_rng(2022)
+    for n in (1, 2, 12, 40, 150):
+        # magnitudes at least 0.2 apart over N: near-coincident ones make millions of proposals
+        mags = np.linspace(0.2, 3.0, n) + rng.uniform(0.0, 0.1, n) * 2.8 / max(n, 2)
+        x0 = rng.permutation(mags) * rng.choice([-1.0, 1.0], n)
+        for nu in sorted({0.0, 2.0, float(n)}):
+            yield f"n{n}-nu{nu:g}", x0, nu, 0.3, 0.01
+    yield "zero-start-nu0", np.zeros(12), 0.0, 0.3, 0.02
+    yield "zero-start-nu2", np.zeros(12), 2.0, 0.3, 0.02
+    yield "zero-and-opposite", np.array([1.0, -1.0, 0.5, 0.0, 2.0, -2.0, 0.0]), 0.0, 0.3, 0.02
+    yield "dt-not-dividing-t", np.array([2.0, -1.0, 0.5, 0.25]), 1.0, 0.3, 0.07
+
+
+@pytest.mark.parametrize("case", list(_oracle_starts()), ids=lambda c: c[0])
+def test_frozen_dunkl_equals_per_interval_reference(case):
+    _, x0, nu, T, dt = case
+    for r in range(3):
+        stream = RngStream(31, r)
+        p = simulate_dunkl_b(x0, nu, math.inf, T, dt, stream)
+        states, jump_log, counts = _reference_frozen_dunkl(x0, nu, T, dt, stream)
+        assert p.states.tobytes() == states.tobytes()
+        assert [(t.hex(), r) for t, r in p.jump_log] == [(t.hex(), r) for t, r in jump_log]
+        assert {k: p.diagnostics[k] for k in st._JUMP_COUNTERS} == counts
+    assert x0.size < 12 or counts["flips"] + counts["sign_swaps"] > 0
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_frozen_dunkl_proposal_batches_of_any_size_equal_the_reference(monkeypatch, batch):
+    # batches cut inside record intervals and join several of them
+    monkeypatch.setattr(st, "_PROPOSAL_BATCH", batch)
+    for name, x0, nu, T, dt in _oracle_starts():
+        if name in ("n12-nu2", "zero-and-opposite"):
+            p = simulate_dunkl_b(x0, nu, math.inf, T, dt, RngStream(32, 0))
+            states, jump_log, counts = _reference_frozen_dunkl(x0, nu, T, dt, RngStream(32, 0))
+            assert p.states.tobytes() == states.tobytes() and p.jump_log == jump_log
+            assert {k: p.diagnostics[k] for k in st._JUMP_COUNTERS} == counts
+
+def test_thinning_tables_built_once_per_record_grid(monkeypatch):
+    calls = []
+
+    def counting(rho, nu):
+        calls.append(rho.shape[0])
+        return slot_bounds(rho, nu)
+
+    slot_bounds = st._slot_bounds
+    monkeypatch.setattr(st, "_slot_bounds", counting)
+    st._dunkl_envelope.cache_clear()
+    x0 = np.array([2.0, -1.0, 0.5, 0.25])
+    # T = 0.5 at dt = 0.125 and at dt = 0.25 share one envelope grid, not one record grid
+    for dt, intervals in ((0.125, 4), (0.25, 2), (0.125, 4)):
+        calls.clear()
+        for r in range(5):
+            simulate_dunkl_b(x0, 1.0, math.inf, 0.5, dt, RngStream(9, r))
+        assert len(calls) == intervals
+        assert sum(calls) == 256 + intervals  # each interval's nodes, its ends shared
+    assert st._dunkl_envelope.cache_info().misses == 1
+
+
+def test_batched_thinning_refuses_a_rate_above_its_bound(monkeypatch):
+    reflection_bounds = st._reflection_bounds
+
+    def halved(*args):
+        bound, over_sum, over_diff = reflection_bounds(*args)
+        return 0.5 * bound, over_sum, over_diff
+
+    monkeypatch.setattr(st, "_reflection_bounds", halved)
+    st._dunkl_envelope.cache_clear()
+    with pytest.raises(RuntimeError, match="above its thinning bound"):
+        simulate_dunkl_b(np.array([2.0, -1.0, 0.5, 0.25]), 1.0, math.inf, 0.3, 0.01, RngStream(10, 0))
+    st._dunkl_envelope.cache_clear()
 
 def _scalar_em_path(x0, x, t0, drift, sigma, chamber, T, dt, rng, nu=0.0):
     """Reference copy of the scalar Euler-Maruyama sub-step loop.
