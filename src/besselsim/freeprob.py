@@ -29,7 +29,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -183,7 +183,7 @@ def mp_cumulants(c, t, L: int) -> list:
     return [0] + [c * t**n for n in range(1, L + 1)]
 
 
-@lru_cache(maxsize=None)
+@cache
 def quartercircle_moments(L: int) -> tuple:
     """Moments of the quartercircle density sqrt(4-x^2)/pi on [0, 2]."""
     out = []
@@ -485,10 +485,11 @@ class Atoms(LimitLaw):
         return cum[np.searchsorted(self.locs[order], x, side="right")]
 
 
-# Gauss-Legendre rule in phi for u = tan(phi) on [0, inf), used by SquareRoot
-_U_NODES, _U_WEIGHTS = np.polynomial.legendre.leggauss(96)
-_U_PHI = (_U_NODES + 1.0) * math.pi / 4.0
-_U_WEIGHTS = _U_WEIGHTS * math.pi / 4.0
+@cache
+def _u_rule():
+    """96-point Gauss-Legendre nodes and weights in phi for u = tan(phi) on [0, inf), used by SquareRoot."""
+    nodes, weights = np.polynomial.legendre.leggauss(96)
+    return (nodes + 1.0) * math.pi / 4.0, weights * math.pi / 4.0
 
 
 class SquareRoot(LimitLaw):
@@ -511,7 +512,7 @@ class SquareRoot(LimitLaw):
         # N(u) = w G_sq(w) + u^2 G_sq(-u^2), from sqrt(y) = (2/pi) int_0^inf y/(y + u^2) du
         scale = math.sqrt(max(self.sq_law.support_radius(), 1e-300))
         odd = d_odd = 0j
-        for phi, wt in zip(_U_PHI, _U_WEIGHTS):
+        for phi, wt in zip(*_u_rule()):
             u = scale * math.tan(phi)
             du = wt * scale / math.cos(phi) ** 2
             u2 = u * u

@@ -19,11 +19,11 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import __version__
 from .chambers import CHAMBER_A, CHAMBER_B, ChamberPoint, project_to_chamber
@@ -128,8 +128,61 @@ def law_quantiles(law: LimitLaw, ps, lo: float, hi: float) -> np.ndarray:
     """Quantiles of a law with continuous CDF on [lo, hi] by root bracketing."""
     out = np.empty(len(ps))
     for i, p in enumerate(ps):
-        out[i] = brentq(lambda x: float(law.cdf(x)) - p, lo, hi, xtol=1e-12)
+        out[i] = _brentq(lambda x: float(law.cdf(x)) - p, lo, hi, xtol=1e-12)
     return out
+
+
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xpre: float, xcur: float, xtol: float) -> float:
+    """A root of f in [xpre, xcur] by Brent's method (Brent 1973, ch. 4).
+
+    A step-for-step port of the C loop behind ``scipy.optimize.brentq`` at
+    its default rtol = 4 eps and maxiter = 100, so it returns scipy's root
+    bit for bit: each step interpolates (or extrapolates through the
+    contrapoint) when that step is short enough, and bisects otherwise.
+    """
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
 
 
 def start_law(spec: str) -> LimitLaw:

@@ -156,8 +156,10 @@ def _em_path(x0, x, t, drift, coupling, chamber, T, dt, rng, nu=0.0):
     Each sub-step works on raw sorted arrays: one pass of adjacent gaps
     gives the step gap and the taming cap, and the state re-sorts onto the
     chamber afterwards.  Diagnostics: worst pre-projection violation, the
-    smallest step gap, and counts of sub-steps, pair and wall flows, and
-    clipped drift coordinates.
+    smallest step gap, counts of sub-steps, pair and wall flows, and
+    clipped drift coordinates, and ``euler_term``, the sum of |disp|^2 over
+    the rescaled sub-steps: what the leg would have added to |x - c|^2
+    without the rescale, so the bias on sum X^2 that the rescale removes.
     """
     times = _record_grid(T, dt)
     sigma = 1.0 / math.sqrt(coupling)
@@ -168,6 +170,7 @@ def _em_path(x0, x, t, drift, coupling, chamber, T, dt, rng, nu=0.0):
     max_violation = 0.0
     min_gap = _gaps(x, wall)[1]
     count = dict.fromkeys(_EM_COUNTERS, 0)
+    euler_term = 0.0
     for idx in range(1, times.size):
         t_target = times[idx]
         while t_target - t > 1e-12 * max(1.0, T):
@@ -215,6 +218,7 @@ def _em_path(x0, x, t, drift, coupling, chamber, T, dt, rng, nu=0.0):
             vv, dd = v @ v, disp @ disp
             if vv > dd > 0.0:
                 x_raw = center + math.sqrt(1.0 - dd / vv) * v
+                euler_term += float(dd)
             if ends or n_wall:
                 # Sequential on Python floats: overlapping pairs share particles,
                 # and the wall flow keeps the float power of the scalar loop.
@@ -242,7 +246,7 @@ def _em_path(x0, x, t, drift, coupling, chamber, T, dt, rng, nu=0.0):
             x = np.sort(y)[::-1]
             t += h
         states[idx], t = x, t_target
-    return times, states, {"max_violation": max_violation, "min_gap": min_gap, **count}
+    return times, states, {"max_violation": max_violation, "min_gap": min_gap, **count, "euler_term": euler_term}
 
 
 def _frozen_as_path(system, x0, T, dt, stream, nu=None):
@@ -318,8 +322,8 @@ def simulate_bessel_ou(
     space-time transform X_ou(t) = exp(-lam t) X((exp(2 lam t) - 1)/(2 lam)),
     restarted (the process is Markov) at every multiple of 2/|lam| so that
     each warped interval ends by (e^4 - 1)/(2 |lam|); its Euler-Maruyama
-    counters are summed over record intervals and restarts.  At k = inf
-    either mode is that transform of frozen solves.  With lam = 0 both modes
+    counters and ``euler_term`` are summed over record intervals and
+    restarts.  At k = inf either mode is that transform of frozen solves.  With lam = 0 both modes
     are simulate_bessel_a.  -lam * T > 700 overflows float64 and is refused.
     """
     k = float(k)
@@ -339,7 +343,7 @@ def simulate_bessel_ou(
         return _em_sample(x0, lambda y: drift_a(y) - lam * y, CHAMBER_A, T, dt, stream, k)
     else:
         rng = stream.generator()
-        diag = {"max_violation": 0.0, "min_gap": np.inf} | dict.fromkeys(_EM_COUNTERS, 0)
+        diag = {"max_violation": 0.0, "min_gap": np.inf} | dict.fromkeys(_EM_COUNTERS, 0) | {"euler_term": 0.0}
 
         def flow(x, warped):
             # split within the first warped step, warped[1] (T = 0 has none)
@@ -351,7 +355,7 @@ def simulate_bessel_ou(
                 seg.append(y)
                 diag["max_violation"] = max(diag["max_violation"], d["max_violation"])
                 diag["min_gap"] = min(diag["min_gap"], d["min_gap"])
-                for key in _EM_COUNTERS:
+                for key in (*_EM_COUNTERS, "euler_term"):
                     diag[key] += d[key]
             return np.array(seg)
 

@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import besselsim
 from besselsim.cli import main
 from besselsim.zeros import hermite_zeros, laguerre_zeros
 
@@ -599,3 +604,32 @@ def test_simulate_law_start_records_the_quantile_start(tmp_path):
     assert main(argv + ["--t", "0.02", "--dt", "0.01", "--record", "0", "--out", str(tmp_path / "run")]) == 0
     got = np.loadtxt(tmp_path / "run" / "states_t0.csv", delimiter=",")
     assert np.array_equal(got, starting_profile("semicircle:2", 6).coords)
+
+
+_SCIPY_PROBE = """
+import json, runpy, sys
+
+def scipy_subpackages():
+    names = {m.split(".")[1] for m in sys.modules if m.startswith("scipy.")}
+    return "scipy " + json.dumps(sorted(n for n in names if not n.startswith("_") and n != "version"))
+
+import besselsim
+print(scipy_subpackages())
+sys.argv = ["besselsim", "--help"]
+try:
+    runpy.run_module("besselsim.cli", run_name="__main__")
+except SystemExit:
+    pass
+print(scipy_subpackages())
+"""
+
+
+def test_import_and_help_load_only_scipy_linalg_and_special():
+    # scipy.optimize alone would bring about 200 more modules into every process
+    env = dict(os.environ, PYTHONPATH=str(Path(besselsim.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env, capture_output=True, text=True, check=True)
+    loaded = [json.loads(line[len("scipy ") :]) for line in out.stdout.splitlines() if line.startswith("scipy ")]
+    assert len(loaded) == 2  # after the import, and after --help
+    for names in loaded:
+        assert set(names) <= {"linalg", "special"}, names
+    assert "usage: besselsim" in out.stdout

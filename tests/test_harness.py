@@ -112,6 +112,70 @@ def _invert_cdf(law, p):
     return brentq(lambda x: float(law.cdf(x)) - p, 0, 2)
 
 
+def _scipy_quantiles(law, ps, lo, hi):
+    from scipy.optimize import brentq
+
+    return np.array([brentq(lambda x: float(law.cdf(x)) - p, lo, hi, xtol=1e-12) for p in ps])
+
+
+@pytest.mark.parametrize("spec", ["quartercircle", "semicircle", "semicircle:2.5", "semicircle:1.5", "semicircle:1.7320508075688772"])
+def test_start_quantiles_equal_scipy_brentq_bitwise(spec):
+    # the "zero" start has no quantiles to place
+    law = harness.start_law(spec)
+    r = law.support_radius()
+    lo = -r if float(law.cdf(0.0)) > 0 else 0.0
+    for n in (1, 2, 3, 7, 150, 151, 1000):
+        ps = (np.arange(1, n + 1) - 0.5) / n
+        assert harness.law_quantiles(law, ps, lo, r).tobytes() == _scipy_quantiles(law, ps, lo, r).tobytes()
+    expect = np.sort(math.sqrt(7) * _scipy_quantiles(law, (np.arange(1, 8) - 0.5) / 7, lo, r))[::-1]
+    assert starting_profile(spec, 7, SCALE_SQRT_N, CHAMBER_A).coords.tobytes() == expect.tobytes()
+
+
+def test_law_quantiles_equal_scipy_brentq_into_the_tails():
+    rng = np.random.default_rng(23)
+    ps = np.concatenate([[1e-9, 1e-6, 1e-3], rng.uniform(size=12), [1 - 1e-3, 1 - 1e-6, 1 - 1e-9]])
+    laws = [(fp.semicircle(r), -r, r) for r in rng.uniform(0.1, 5.0, 4)]
+    laws += [(fp.beta_law(a, b), 0.0, 1.0) for a, b in rng.uniform(0.5, 6.0, (4, 2))]
+    for law, lo, hi in laws:
+        assert harness.law_quantiles(law, ps, lo, hi).tobytes() == _scipy_quantiles(law, ps, lo, hi).tobytes()
+
+
+@pytest.mark.parametrize(
+    "f,a,b,xtol",
+    [
+        (lambda x: x - 0.3, 0.0, 1.0, 1e-12),  # interpolation, then f(x) == 0 inside the loop
+        (lambda x: x**3 - 2.0, 0.0, 2.0, 1e-12),  # extrapolation and steps of delta
+        (lambda x: x**9 - 1e-9, 0.0, 4.0, 1e-12),  # a step too long for the bracket: bisection
+        (lambda x: -1.0 if x < 1 / 3 else 1.0, 0.0, 1.0, 1e-12),  # |f| never falls: bisection only
+        (lambda x: x, 0.0, 1.0, 1e-12),  # a root exactly at a
+        (lambda x: x - 1.0, 0.0, 1.0, 1e-12),  # a root exactly at b
+    ],
+)
+def test_brentq_port_takes_scipys_steps(f, a, b, xtol):
+    from scipy.optimize import brentq
+
+    ours, theirs = [], []
+    root = harness._brentq(lambda x: ours.append(x) or f(x), a, b, xtol)
+    assert root == brentq(lambda x: theirs.append(x) or f(x), a, b, xtol=xtol)
+    assert ours == theirs
+
+
+def test_brentq_port_raises_scipys_errors():
+    from scipy.optimize import brentq
+
+    cases = [
+        (lambda x: x + 1.0, 0.0, 1e-12, ValueError),  # no sign change on [0, 1]
+        # a jump at 0 bisects toward 0 for far more than 100 steps at this xtol
+        (lambda x: -1.0 if x < 0 else 1.0, -1.0, 5e-324, RuntimeError),
+    ]
+    for f, a, xtol, error in cases:
+        with pytest.raises(error) as ours:
+            harness._brentq(f, a, 1.0, xtol)
+        with pytest.raises(error) as theirs:
+            brentq(f, a, 1.0, xtol=xtol)
+        assert str(ours.value) == str(theirs.value)
+
+
 def test_report_determinism_and_outputs(tmp_path):
     cfg = {"preset": "hermite-classical", "n_list": [25, 50]}
     r1 = run_experiment(cfg, out_dir=tmp_path / "a")

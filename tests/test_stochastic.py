@@ -162,6 +162,22 @@ def test_squared_norm_follows_its_exact_noncentral_chi2_law(system):
     assert math.sqrt(reps) * ks < 1.63
 
 
+@pytest.mark.parametrize("lam", [0.7, -0.5])
+def test_ou_transform_squared_norm_follows_its_exact_noncentral_chi2_law(lam):
+    # |X^ou_T|^2 = e^{-2 lam T} |X_s|^2 with s = expm1(2 lam T)/(2 lam), so
+    # k e^{2 lam T} |X^ou_T|^2 / s is noncentral chi^2 with k N(N - 1) + N
+    # degrees of freedom and noncentrality k |x0|^2 / s; sqrt(reps) KS read
+    # 0.80-1.07 over seeds 41-43 at both lam
+    n, T, dt, reps, k = 8, 0.5, 0.01, 3000, 1.0
+    x0 = 0.3 * np.random.default_rng(0).standard_normal(n)
+    s = math.expm1(2 * lam * T) / (2 * lam)
+    norms = [np.sum(simulate_bessel_ou(x0, k, lam, T, dt, RngStream(41, r), "transform").states[-1] ** 2) for r in range(reps)]
+    stat = k * math.exp(2 * lam * T) * np.array(norms) / s
+    ks = _ks_statistic(chndtr(np.sort(stat), k * n * (n - 1) + n, k * (x0 @ x0) / s))
+    # 1.63 is the 1% point of the Kolmogorov law of sqrt(reps) KS
+    assert math.sqrt(reps) * ks < 1.63
+
+
 def test_b_empirical_first_moment_uses_shifted_nu():
     # finite-N squared-side first moment drifts at (N + nu + 1/(2 beta) - 1)/N
     n, nu, beta, t = 5, 2.0, 1.0, 0.4
@@ -249,14 +265,14 @@ def test_ou_transform_without_restart_is_the_chained_lam_zero_path_bitwise():
     start, x, t = st._em_start(x0, CHAMBER_A, 0.0, warped[1])
     assert 0.0 < t < warped[1] and np.array_equal(start, x0)
     states = [start]
-    diag = {"max_violation": 0.0, "min_gap": np.inf} | dict.fromkeys(st._EM_COUNTERS, 0)
+    diag = {"max_violation": 0.0, "min_gap": np.inf, "euler_term": 0.0} | dict.fromkeys(st._EM_COUNTERS, 0)
     for w in np.diff(warped):
         _, seg, d = st._em_path(x, x, t, drift_a, k, CHAMBER_A, w, w, rng)
         x, t = seg[-1], 0.0
         states.append(x)
         diag["max_violation"] = max(diag["max_violation"], d["max_violation"])
         diag["min_gap"] = min(diag["min_gap"], d["min_gap"])
-        for key in st._EM_COUNTERS:
+        for key in (*st._EM_COUNTERS, "euler_term"):
             diag[key] += d[key]
     expect = np.array([math.exp(-lam * t) * y for t, y in zip(grid, states)])
     assert expect.tobytes() == p.states.tobytes()
@@ -695,7 +711,7 @@ def _scalar_em_path(x0, x, t0, drift, sigma, chamber, T, dt, rng, nu=0.0):
     n = x.size
     states = np.empty((times.size, n))
     states[0] = x0
-    diag = dict(max_violation=0.0, min_gap=gap_of(x), substeps=0, pair_flows=0, wall_flows=0, clipped=0)
+    diag = dict(max_violation=0.0, min_gap=gap_of(x), substeps=0, pair_flows=0, wall_flows=0, clipped=0, euler_term=0.0)
     for idx in range(1, times.size):
         t_target, t = times[idx], times[idx - 1] if idx > 1 else t0
         while t_target - t > 1e-12 * max(1.0, T):
@@ -725,6 +741,7 @@ def _scalar_em_path(x0, x, t0, drift, sigma, chamber, T, dt, rng, nu=0.0):
             s2 = 1.0 - np.dot(inc, inc) / np.dot(x_raw - c, x_raw - c)
             if 0.0 < s2 < 1.0:
                 x_raw = c + math.sqrt(s2) * (x_raw - c)
+                diag["euler_term"] += np.dot(inc, inc)
             for _, i, j in hot:
                 c = 0.5 * (x_raw[i] + x_raw[j])
                 u = x_raw[i] - x_raw[j]
@@ -792,7 +809,7 @@ def test_em_path_bitwise_equals_scalar_loop(case):
 
 def test_em_counters_present_and_reproducible():
     x0 = np.zeros(12)
-    keys = {"max_violation", "min_gap", "substeps", "pair_flows", "wall_flows", "clipped"}
+    keys = {"max_violation", "min_gap", "substeps", "pair_flows", "wall_flows", "clipped", "euler_term"}
     runs = [
         lambda s: simulate_bessel_a(x0, 0.5, 0.2, 0.01, s),
         lambda s: simulate_bessel_b(x0, 12.0, 0.5, 0.2, 0.01, s),
@@ -807,6 +824,7 @@ def test_em_counters_present_and_reproducible():
         assert first.diagnostics == again.diagnostics
         d = first.diagnostics
         assert all(type(d[key]) is int for key in st._EM_COUNTERS)
+        assert type(d["euler_term"]) is float and d["euler_term"] > 0
         assert d["substeps"] >= first.times.size - 1 and d["pair_flows"] > 0
     # transform mode sums its segments' counters: one segment of one sub-step
     # per record step and one more per restart off the record grid
